@@ -43,6 +43,7 @@ go test -race ./...
 
 echo "== fuzz smoke (10s each) =="
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/ais
+go test -fuzz=FuzzParse -fuzztime=10s ./internal/lang/parser
 go test -fuzz=FuzzLint -fuzztime=10s ./internal/analysis
 go test -fuzz=FuzzDecode -fuzztime=10s ./internal/journal
 

@@ -2,7 +2,8 @@
 // simulator with the runtime volume manager in the loop: static plans are
 // applied directly; assays with unknown volumes are re-planned partition
 // by partition as the simulated separations report their measured outputs
-// (§3.5).
+// (§3.5). The compile is internal/pipeline, so without -margin the
+// program executed is the listing fluidc ships for the same source.
 //
 // Usage:
 //
@@ -91,11 +92,9 @@ import (
 	"aquavol/internal/aquacore"
 	"aquavol/internal/budget"
 	"aquavol/internal/certify"
-	"aquavol/internal/codegen"
-	"aquavol/internal/core"
 	"aquavol/internal/faults"
 	"aquavol/internal/journal"
-	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
 	"aquavol/internal/vfs"
 )
@@ -178,6 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Build the program and machine.
+	mcfg := aquacore.Config{SeparationYield: *yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}
 	var (
 		prog     *ais.Program
 		comp     *recovery.Compiled
@@ -187,16 +187,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if *aisFile != "" {
 		name = *aisFile
-		prog, m, err = buildShipped(*aisFile, *volFile, *yield, meter, traceFn, eventFn, inj)
+		prog, m, err = buildShipped(*aisFile, *volFile, mcfg)
 	} else {
 		if fs.NArg() != 1 {
 			fmt.Fprintln(stderr, "usage: fluidvm [flags] assay.asy")
 			return exitUsage
 		}
 		name = fs.Arg(0)
-		var src []byte
-		if src, err = os.ReadFile(name); err == nil {
-			prog, comp, m, certHash, err = buildAssay(string(src), *yield, *margin, *noCertify, meter, traceFn, eventFn, inj)
+		var c *pipeline.Compiled
+		if c, err = compileFile(name, *margin, *noCertify, meter); err == nil {
+			prog, comp, certHash = c.Code.Prog, c.Recovery(), c.CertHash
+			m, err = c.NewMachine(mcfg)
 		}
 	}
 	if err != nil {
@@ -322,35 +323,38 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 	// Rebuild the run exactly as the original invocation configured it.
 	// Each ladder rung needs a fresh machine (Restore refuses a used one),
 	// so construction is a closure; the program and compile artifacts are
-	// deterministic and come from the first build.
-	var (
-		prog     *ais.Program
-		comp     *recovery.Compiled
-		certHash uint32
-	)
-	newMachine := func() (*aquacore.Machine, error) {
-		var inj *faults.Injector
-		if begin.Profile.Enabled() {
-			inj = faults.New(begin.Profile, begin.Seed)
-		}
-		if aisFile != "" {
-			p, m, err := buildShipped(aisFile, volFile, begin.Yield, meter, traceFn, eventFn, inj)
-			prog = p
-			return m, err
-		}
-		src, err := os.ReadFile(args[0])
-		if err != nil {
-			return nil, err
-		}
-		p, c, m, h, err := buildAssay(string(src), begin.Yield, begin.Margin, noCertify, meter, traceFn, eventFn, inj)
-		prog, comp, certHash = p, c, h
-		return m, err
-	}
+	// deterministic and come from the one compile.
 	if aisFile == "" && len(args) != 1 {
 		fmt.Fprintln(stderr, "usage: fluidvm -resume run.aqj assay.asy")
 		return exitUsage
 	}
-	firstMachine, err := newMachine()
+	var (
+		prog     *ais.Program
+		comp     *recovery.Compiled
+		certHash uint32
+		c        *pipeline.Compiled
+	)
+	newMachine := func() (*aquacore.Machine, error) {
+		mcfg := aquacore.Config{SeparationYield: begin.Yield, Trace: traceFn, EventTrace: eventFn, Budget: meter}
+		if begin.Profile.Enabled() {
+			mcfg.Faults = faults.New(begin.Profile, begin.Seed)
+		}
+		if aisFile != "" {
+			p, m, err := buildShipped(aisFile, volFile, mcfg)
+			prog = p
+			return m, err
+		}
+		return c.NewMachine(mcfg)
+	}
+	var firstMachine *aquacore.Machine
+	if aisFile == "" {
+		if c, err = compileFile(args[0], begin.Margin, noCertify, meter); err == nil {
+			prog, comp, certHash = c.Code.Prog, c.Recovery(), c.CertHash
+		}
+	}
+	if err == nil {
+		firstMachine, err = newMachine()
+	}
 	if err != nil {
 		if errors.Is(err, certify.ErrCertificate) {
 			fmt.Fprintln(stderr, "fluidvm: resume:", err)
@@ -399,90 +403,24 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 	return finish(out, stdout, stderr)
 }
 
-// buildAssay compiles assay source and constructs its machine, mirroring
-// the planner/codegen decisions of a direct run so a resume rebuilds the
-// identical program. Unless noCertify, every solved plan passes the
-// independent checker before the machine is built — static plans here,
-// staged partitions through the source's certification hook (including
-// those solved later from measurements) — and the returned certHash
-// pins the certified static plan (0 for staged assays, which have no
-// single static plan to pin).
-func buildAssay(src string, yield, margin float64, noCertify bool, meter *budget.Meter, traceFn func(aquacore.TraceEntry),
-	eventFn func(aquacore.Event), inj *faults.Injector) (*ais.Program, *recovery.Compiled, *aquacore.Machine, uint32, error) {
-	ep, err := lang.Compile(src)
+// compileFile takes an assay source file through the compile pipeline.
+// Unless noCertify, every solved plan passes the independent checker —
+// static plans here, staged partitions through the machine's volume
+// source (including those solved later from measurements) — and the
+// compiled CertHash pins the certified static plan.
+func compileFile(path string, margin float64, noCertify bool, meter *budget.Meter) (*pipeline.Compiled, error) {
+	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, err
 	}
-	cfg := core.DefaultConfig()
-	cfg.SafetyMargin = margin
-	cfg.Budget = meter
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, 0, err
-	}
-
-	g := ep.Graph
-	hasUnknown := false
-	for _, n := range g.Nodes() {
-		if n != nil && n.Unknown && !n.IsLeaf() {
-			hasUnknown = true
-		}
-	}
-	var source aquacore.VolumeSource
-	usedLP := false
-	var certHash uint32
-	if hasUnknown {
-		sp, err := core.NewStagedPlan(g, cfg)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		var hook aquacore.CertifyPart
-		if !noCertify {
-			hook = func(part int, plan *core.Plan, avail core.Availability) error {
-				return certify.CheckPlan(plan, cfg, avail)
-			}
-		}
-		ss, err := aquacore.NewStagedSource(sp, hook)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		source = ss
-		// Per-part solves may fall back to LP at run time; be
-		// conservative about unit residue.
-		usedLP = true
-	} else {
-		res, err := core.Manage(g, cfg, core.ManageOptions{})
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		if !noCertify {
-			if err := certify.CheckPlan(res.Plan, cfg, core.StaticAvailability(cfg)); err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("managed plan rejected: %w", err)
-			}
-			certHash = certify.PlanHash(res.Plan)
-		}
-		g = res.Graph
-		source = aquacore.PlanSource{Plan: res.Plan}
-		usedLP = res.UsedLP
-	}
-
-	// Forwarding is unsafe whenever production can exceed consumption:
-	// LP plans (no flow conservation) and any positive safety margin.
-	cg, err := codegen.Generate(ep, g, codegen.Config{NoForwarding: usedLP || margin > 0})
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	m := aquacore.New(aquacore.Config{SeparationYield: yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}, g, source)
-	m.SetDry(codegen.DryInit(ep))
-	comp := &recovery.Compiled{Graph: g, Clusters: cg.Clusters, VesselOf: cg.VesselOf}
-	return cg.Prog, comp, m, certHash, nil
+	return pipeline.Compile(string(src), pipeline.Options{Margin: margin, Budget: meter, NoCertify: noCertify})
 }
 
 // buildShipped assembles a compiled (listing, volume table) pair — the
 // artifact fluidc -o/-voltab produces — with no source or DAG available.
 // Recovery is retry-only here: regeneration needs the DAG and cluster map
 // that only a fresh compile carries.
-func buildShipped(aisFile, volFile string, yield float64, meter *budget.Meter, traceFn func(aquacore.TraceEntry),
-	eventFn func(aquacore.Event), inj *faults.Injector) (*ais.Program, *aquacore.Machine, error) {
+func buildShipped(aisFile, volFile string, mcfg aquacore.Config) (*ais.Program, *aquacore.Machine, error) {
 	src, err := os.ReadFile(aisFile)
 	if err != nil {
 		return nil, nil, err
@@ -491,7 +429,7 @@ func buildShipped(aisFile, volFile string, yield float64, meter *budget.Meter, t
 	if err != nil {
 		return nil, nil, err
 	}
-	m := aquacore.New(aquacore.Config{SeparationYield: yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}, nil, nil)
+	m := aquacore.New(mcfg, nil, nil)
 	if volFile != "" {
 		vsrc, err := os.ReadFile(volFile)
 		if err != nil {

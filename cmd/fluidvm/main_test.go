@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -265,5 +266,34 @@ func TestFSFaultsFlag(t *testing.T) {
 	if code, _, errw := runCLI(t, "-fsfaults", "write=0.0001", "-fsfault-seed", "7",
 		"-journal", filepath.Join(dir, "r.aqj"), glucose); code != exitCompleted {
 		t.Fatalf("low-rate fsfaults run exit %d (stderr: %s)", code, errw)
+	}
+}
+
+// The listing fluidc ships is the program fluidvm executes. The staged
+// glycomics assay is the case that once differed: a staged partition may
+// fall back on LP at run time, so neither CLI forwards FU to FU (55
+// instructions, not 47). The journal's begin record pins the executed
+// program by hash and length.
+func TestShippedListingIsExecutedProgram(t *testing.T) {
+	listing, err := os.ReadFile("../fluidc/testdata/glycomics.ais")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.aqj")
+	if code, _, errw := runCLI(t, "-journal", path, "../../testdata/glycomics.asy"); code != exitCompleted {
+		t.Fatalf("glycomics run exit %d (stderr: %s)", code, errw)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := recs[0].Begin
+	if want := crc32.ChecksumIEEE(listing); begin.Hash != want || begin.Instrs != 55 {
+		t.Fatalf("executed program %08x/%d instrs, fluidc listing %08x/55", begin.Hash, begin.Instrs, want)
 	}
 }

@@ -51,86 +51,33 @@ func main() {
 	full := flag.Bool("full", false, "include the long Enzyme10 LP solve")
 	sweep := flag.Int("sweep", 5, "max N for the EnzymeN scaling sweep")
 	seeds := flag.Int("seeds", 5, "seeds per cell in the robustness Monte-Carlo sweep")
-	jsonOut := flag.String("json", "", "write the solver experiment's machine-readable report to this file")
+	jsonOut := flag.String("json", "", "write the experiment's machine-readable report to this file (solver, storage-chaos, bounded, certify)")
 	ilpNodes := flag.Int("ilp-nodes", 0, "B&B node budget for the ilp experiment (0 = default 20000)")
 	ilpTime := flag.Duration("ilp-time", 0, "wall-clock guard per ilp solve (0 = default 15s)")
 	flag.Parse()
 	ilpBounds := bench.ILPBounds{Nodes: *ilpNodes, Time: *ilpTime}
 
 	var tables []*bench.Table
+	// report is the machine-readable report of the experiments that have
+	// one; -json writes it.
+	var report any
 	switch *experiment {
 	case "solver":
-		t, report, err := bench.SolverBaseline()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "solver baseline: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		t, r, err := bench.SolverBaseline()
+		exitOn("solver baseline", err)
+		tables, report = []*bench.Table{t}, r
 	case "storage-chaos":
-		t, report, err := bench.StorageChaos()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "storage chaos: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		t, r, err := bench.StorageChaos()
+		exitOn("storage chaos", err)
+		tables, report = []*bench.Table{t}, r
 	case "certify":
-		t, report, err := bench.Certify()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify matrix: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := bench.WriteCertifyReport(report)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		t, r, err := bench.Certify()
+		exitOn("certify matrix", err)
+		tables, report = []*bench.Table{t}, r
 	case "bounded":
-		t, report, err := bench.Bounded()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bounded execution: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := bench.WriteBoundedReport(report)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		t, r, err := bench.Bounded()
+		exitOn("bounded execution", err)
+		tables, report = []*bench.Table{t}, r
 	case "all":
 		tables = bench.All(*full, *sweep)
 	case "fig5":
@@ -179,10 +126,23 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *jsonOut != "" && report != nil {
+		blob, err := json.MarshalIndent(report, "", "  ")
+		exitOn("encoding report", err)
+		exitOn("writing "+*jsonOut, os.WriteFile(*jsonOut, append(blob, '\n'), 0o644))
+	}
 	for i, t := range tables {
 		if i > 0 {
 			fmt.Println()
 		}
 		fmt.Print(t)
+	}
+}
+
+// exitOn reports a failed step and exits 1; a nil err does nothing.
+func exitOn(what string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+		os.Exit(1)
 	}
 }

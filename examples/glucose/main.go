@@ -1,6 +1,6 @@
-// Glucose: the full compiler pipeline on the paper's Fig. 9 assay —
-// high-level source → AIS code → volume plan → execution on the AquaCore
-// simulator.
+// Glucose: the full compiler pipeline (internal/pipeline) on the paper's
+// Fig. 9 assay — high-level source → volume plan → AIS code → execution
+// on the AquaCore simulator.
 //
 // The assay builds a four-point calibration curve of glucose against a
 // reagent (mix ratios 1:1, 1:2, 1:4, 1:8) plus the sample measurement.
@@ -18,33 +18,25 @@ import (
 
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
-	"aquavol/internal/codegen"
-	"aquavol/internal/core"
-	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
 
 func main() {
-	ep, err := lang.Compile(assays.GlucoseSource)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	plan, err := core.DAGSolve(ep.Graph, cfg, nil)
+	c, err := pipeline.Compile(assays.GlucoseSource, pipeline.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("--- volume plan ---")
-	fmt.Print(plan)
+	fmt.Print(c.Plan)
 
-	cg, err := codegen.Generate(ep, ep.Graph, codegen.Config{})
+	fmt.Println("\n--- AIS listing (compare paper Fig. 9b) ---")
+	fmt.Print(c.Code.Prog)
+
+	m, err := c.NewMachine(aquacore.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\n--- AIS listing (compare paper Fig. 9b) ---")
-	fmt.Print(cg.Prog)
-
-	m := aquacore.New(aquacore.Config{}, ep.Graph, aquacore.PlanSource{Plan: plan})
-	res, err := m.Run(cg.Prog)
+	res, err := m.Run(c.Code.Prog)
 	if err != nil {
 		log.Fatal(err)
 	}

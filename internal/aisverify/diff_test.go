@@ -7,16 +7,16 @@ import (
 	"aquavol/internal/aisverify"
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
-	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/diag"
 	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
 
 // The differential contract of the verifier, direction one: a program the
-// verifier passes must simulate event-free. Every example assay compiles,
-// verifies with zero findings, and runs on the machine with zero volume
-// events.
+// verifier passes must simulate event-free. Every example assay compiles
+// through the pipeline, verifies with zero findings, and runs on the
+// machine with zero volume events.
 func TestVerifierCleanProgramsSimulateClean(t *testing.T) {
 	cases := []struct {
 		name string
@@ -33,63 +33,35 @@ func TestVerifierCleanProgramsSimulateClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.DefaultConfig()
-			opts := aisverify.Options{}
-			for name := range codegen.DryInit(ep) {
-				opts.DefinedRegs = append(opts.DefinedRegs, name)
-			}
-
-			g := ep.Graph
-			hasUnknown := false
-			for _, n := range g.Nodes() {
-				if n != nil && n.Unknown && !n.IsLeaf() {
-					hasUnknown = true
-				}
-			}
-			var source aquacore.VolumeSource
-			usedLP := false
-			if hasUnknown {
-				sp, err := core.NewStagedPlan(g, cfg)
+			opts := pipeline.Options{}
+			if tc.name == "enzyme4" {
+				// enzyme4's LP plan needs more than the chip's 64
+				// reservoirs once forwarding is off. Keep the LP-free
+				// plan instead: the graph the volume manager reaches
+				// without the LP fallback, which plain DAGSolve solves.
+				res, err := core.Manage(ep.Graph, core.DefaultConfig(), core.ManageOptions{SkipLP: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				source, err = aquacore.NewStagedSource(sp, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.UnknownVolumes = true
-				usedLP = true
-			} else {
-				res, err := core.Manage(g, cfg, core.ManageOptions{SkipLP: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				g = res.Graph
-				ps := aquacore.PlanSource{Plan: res.Plan}
-				source = ps
-				opts.NodeVolume = ps.NodeVolume
-				usedLP = res.UsedLP
+				managed := *ep
+				managed.Graph = res.Graph
+				ep, opts.NoManage = &managed, true
 			}
-
-			cg, err := codegen.Generate(ep, g, codegen.Config{NoForwarding: usedLP})
+			c, err := pipeline.Plan(ep, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !hasUnknown {
-				ps := source.(aquacore.PlanSource)
-				opts.Volumes, err = cg.VolumeTable(ps.EdgeVolume)
-				if err != nil {
-					t.Fatal(err)
-				}
+			if err := c.Generate(); err != nil {
+				t.Fatal(err)
 			}
-
-			if findings := aisverify.Verify(cg.Prog, opts); len(findings) != 0 {
-				t.Fatalf("verifier findings on %s:\n%v", tc.name, findings)
+			if len(c.Findings) != 0 {
+				t.Fatalf("verifier findings on %s:\n%v", tc.name, c.Findings)
 			}
-
-			m := aquacore.New(aquacore.Config{}, g, source)
-			m.SetDry(codegen.DryInit(ep))
-			res, err := m.Run(cg.Prog)
+			m, err := c.NewMachine(aquacore.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run(c.Code.Prog)
 			if err != nil {
 				t.Fatal(err)
 			}

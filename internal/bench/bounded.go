@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -204,14 +203,14 @@ func boundedExecCell(ca *compiledAssay, pname string, snapshotEvery int, dir str
 	cell := &BoundedExecCell{Assay: ca.name, Profile: pname}
 
 	runBudgeted := func(meter *budget.Meter, jw *journal.Writer) (*recovery.Outcome, string, error) {
-		m, err := ca.newBudgetedMachine(p, boundedSeed, meter)
+		m, err := ca.newMachine(p, boundedSeed, meter)
 		if err != nil {
 			return nil, "", err
 		}
 		ropts := opts
 		ropts.Journal = jw
 		ropts.Budget = meter
-		out := recovery.Run(m, ca.cg.Prog, ca.compiled(), ropts)
+		out := recovery.Run(m, ca.Code.Prog, ca.Recovery(), ropts)
 		fp, err := machineFP(m)
 		return out, fp, err
 	}
@@ -476,13 +475,4 @@ func Bounded() (*Table, *BoundedReport, error) {
 		report.OverheadPct = 100 * (base/metered - 1)
 	}
 	return t, report, nil
-}
-
-// WriteBoundedReport renders the report as BENCH_bounded.json's bytes.
-func WriteBoundedReport(r *BoundedReport) ([]byte, error) {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -447,13 +446,4 @@ func Certify() (*Table, *CertifyReport, error) {
 		})
 	}
 	return t, report, nil
-}
-
-// WriteCertifyReport encodes BENCH_certify.json.
-func WriteCertifyReport(r *CertifyReport) ([]byte, error) {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }

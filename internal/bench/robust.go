@@ -6,138 +6,63 @@ import (
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
 	"aquavol/internal/budget"
-	"aquavol/internal/codegen"
-	"aquavol/internal/core"
-	"aquavol/internal/dag"
 	"aquavol/internal/faults"
 	"aquavol/internal/journal"
-	"aquavol/internal/lang"
-	"aquavol/internal/lang/elab"
+	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
 )
 
-// compiledAssay is a ready-to-execute assay: compiled, volume-managed, and
-// code-generated. Staged assays keep only the compile artifacts; their
-// run-time plan state is rebuilt per run (it is mutated by execution).
+// compiledAssay is a named assay taken through the compile pipeline,
+// ready to execute: every run gets a fresh machine and volume source.
 type compiledAssay struct {
-	name   string
-	ep     *elab.Program
-	cfg    core.Config
-	cg     *codegen.Result
-	plan   *core.Plan // nil for staged assays
-	staged bool
+	name string
+	*pipeline.Compiled
 }
 
-// compileForRun mirrors fluidvm's pipeline: Manage for static assays,
-// staged planning for unknown-volume ones; forwarding is disabled for LP
-// plans and for any margin > 0 (both leave excess in units).
+// compileForRun compiles an assay exactly as fluidvm does, with safety
+// margin margin.
 func compileForRun(name, src string, margin float64) (*compiledAssay, error) {
-	ep, err := lang.Compile(src)
+	c, err := pipeline.Compile(src, pipeline.Options{Margin: margin})
 	if err != nil {
 		return nil, err
 	}
-	c := core.DefaultConfig()
-	c.SafetyMargin = margin
-	ca := &compiledAssay{name: name, ep: ep, cfg: c}
-	g := ep.Graph
-	for _, n := range g.Nodes() {
-		if n != nil && n.Unknown && !n.IsLeaf() {
-			ca.staged = true
-		}
-	}
-	noFwd := margin > 0
-	if ca.staged {
-		if _, err := core.NewStagedPlan(g, c); err != nil {
-			return nil, err
-		}
-		noFwd = true // per-part solves may fall back to LP at run time
-	} else {
-		res, err := core.Manage(g, c, core.ManageOptions{})
-		if err != nil {
-			return nil, err
-		}
-		g = res.Graph
-		ca.plan = res.Plan
-		noFwd = noFwd || res.UsedLP
-	}
-	cg, err := codegen.Generate(ep, g, codegen.Config{NoForwarding: noFwd})
-	if err != nil {
-		return nil, err
-	}
-	ca.cg = cg
-	return ca, nil
+	return &compiledAssay{name: name, Compiled: c}, nil
 }
 
-// newMachine builds a fresh machine for one run under profile p and seed.
-func (ca *compiledAssay) newMachine(p faults.Profile, seed int64) (*aquacore.Machine, error) {
-	return ca.newBudgetedMachine(p, seed, nil)
-}
-
-// newBudgetedMachine is newMachine with a work-budget meter wired into
-// the machine config — the bench side of the E15 cancellation matrix.
-func (ca *compiledAssay) newBudgetedMachine(p faults.Profile, seed int64, meter *budget.Meter) (*aquacore.Machine, error) {
-	var src aquacore.VolumeSource
-	g := ca.ep.Graph
-	if ca.staged {
-		sp, err := core.NewStagedPlan(ca.ep.Graph, ca.cfg)
-		if err != nil {
-			return nil, err
-		}
-		ss, err := aquacore.NewStagedSource(sp, nil)
-		if err != nil {
-			return nil, err
-		}
-		src = ss
-	} else {
-		src = aquacore.PlanSource{Plan: ca.plan}
-		g = ca.plan.Graph
-	}
-	acfg := aquacore.Config{Budget: meter}
+// newMachine builds a fresh machine for one run under profile p and seed,
+// charging execution to meter (nil for unbounded runs; the E15
+// cancellation matrix passes one).
+func (ca *compiledAssay) newMachine(p faults.Profile, seed int64, meter *budget.Meter) (*aquacore.Machine, error) {
+	mc := aquacore.Config{Budget: meter}
 	if p.Enabled() {
-		acfg.Faults = faults.New(p, seed)
+		mc.Faults = faults.New(p, seed)
 	}
-	m := aquacore.New(acfg, g, src)
-	m.SetDry(codegen.DryInit(ca.ep))
-	return m, nil
+	return ca.NewMachine(mc)
 }
 
 // runRecovered executes one seeded run under the recovery runtime,
 // returning the machine too so callers can fingerprint its final state.
 func (ca *compiledAssay) runRecovered(p faults.Profile, seed int64, opts recovery.Options) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.newMachine(p, seed)
+	m, err := ca.newMachine(p, seed, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return recovery.Run(m, ca.cg.Prog, ca.compiled(), opts), m, nil
+	return recovery.Run(m, ca.Code.Prog, ca.Recovery(), opts), m, nil
 }
 
 // resumeRecovered restores snap onto a fresh machine and continues the
 // run — the bench side of the chaos harness.
 func (ca *compiledAssay) resumeRecovered(p faults.Profile, seed int64, opts recovery.Options,
 	snap *journal.Snapshot) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.newMachine(p, seed)
+	m, err := ca.newMachine(p, seed, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := recovery.Resume(m, ca.cg.Prog, ca.compiled(), opts, snap)
+	out, err := recovery.Resume(m, ca.Code.Prog, ca.Recovery(), opts, snap)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, m, nil
-}
-
-// compiled bundles the artifacts the recovery runtime's repair
-// strategies need (regeneration and replanning).
-func (ca *compiledAssay) compiled() *recovery.Compiled {
-	return &recovery.Compiled{Graph: ca.runGraph(), Clusters: ca.cg.Clusters, VesselOf: ca.cg.VesselOf}
-}
-
-// runGraph is the graph execution sees: the managed one for static plans.
-func (ca *compiledAssay) runGraph() *dag.Graph {
-	if ca.plan != nil {
-		return ca.plan.Graph
-	}
-	return ca.ep.Graph
 }
 
 // robustnessAssays compiles the three paper assays for fault sweeps.

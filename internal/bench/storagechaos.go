@@ -258,11 +258,11 @@ func (ca *compiledAssay) strikeOutcome(p faults.Profile, seed int64, opts recove
 	var m2 *aquacore.Machine
 	out2, _, err := recovery.ResumeFallback(
 		func() (*aquacore.Machine, error) {
-			mm, err := ca.newMachine(p, seed)
+			mm, err := ca.newMachine(p, seed, nil)
 			m2 = mm
 			return mm, err
 		},
-		ca.cg.Prog, ca.compiled(), opts, recovery.Snapshots(recs), nil)
+		ca.Code.Prog, ca.Recovery(), opts, recovery.Snapshots(recs), nil)
 	if err != nil {
 		return "", fmt.Errorf("resume after strike: %w", err)
 	}
@@ -349,11 +349,11 @@ func (ca *compiledAssay) fallbackLadderCase(p faults.Profile, seed int64, opts r
 	var m *aquacore.Machine
 	out2, used, err := recovery.ResumeFallback(
 		func() (*aquacore.Machine, error) {
-			mm, merr := ca.newMachine(p, seed)
+			mm, merr := ca.newMachine(p, seed, nil)
 			m = mm
 			return mm, merr
 		},
-		ca.cg.Prog, ca.compiled(), ropts, snaps,
+		ca.Code.Prog, ca.Recovery(), ropts, snaps,
 		func(string) { skipped++ })
 	if cerr := f3.Close(); cerr != nil && err == nil {
 		err = cerr

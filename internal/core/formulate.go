@@ -88,10 +88,8 @@ func Formulate(g *dag.Graph, cfg Config, opts FormulateOptions, avail Availabili
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	for _, n := range g.Nodes() {
-		if n != nil && n.Unknown && !n.IsLeaf() {
-			return nil, ErrNeedsPartition
-		}
+	if g.HasRuntimeVolumes() {
+		return nil, ErrNeedsPartition
 	}
 
 	f := &Formulation{

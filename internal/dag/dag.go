@@ -280,6 +280,18 @@ func (g *Graph) Leaves() []*Node {
 	return out
 }
 
+// HasRuntimeVolumes reports whether some non-leaf node's output volume is
+// only known at run time. Such a graph cannot be planned in one static
+// solve: it is partitioned at those nodes and planned in stages (§3.5).
+func (g *Graph) HasRuntimeVolumes() bool {
+	for _, n := range g.nodes {
+		if n != nil && n.Unknown && !n.IsLeaf() {
+			return true
+		}
+	}
+	return false
+}
+
 // NodeByName returns the first node with the given name, or nil. Intended
 // for tests and examples; names need not be unique.
 func (g *Graph) NodeByName(name string) *Node {

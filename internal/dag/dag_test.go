@@ -652,3 +652,25 @@ func TestQuickCloneEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// HasRuntimeVolumes is set only by an unknown-volume node with uses: an
+// unknown leaf is measured after everything that could depend on it.
+func TestHasRuntimeVolumes(t *testing.T) {
+	g := New()
+	a := g.AddInput("a")
+	sep := g.AddUnary(Separate, "sep", a)
+	if g.HasRuntimeVolumes() {
+		t.Fatal("known-volume graph reports run-time volumes")
+	}
+	sep.Unknown = true
+	if g.HasRuntimeVolumes() {
+		t.Fatal("unknown leaf reports run-time volumes")
+	}
+	g.AddUnary(Incubate, "inc", sep)
+	if !g.HasRuntimeVolumes() {
+		t.Fatal("unknown node with a use reports none")
+	}
+	if g, _, _ := glycomicsShape(); !g.HasRuntimeVolumes() {
+		t.Fatal("glycomics shape reports no run-time volumes")
+	}
+}

@@ -223,6 +223,7 @@ var replayCritical = map[string]bool{
 	"codegen":  true,
 	"core":     true,
 	"certify":  true,
+	"pipeline": true,
 	"dag":      true,
 	"ilp":      true,
 	"bench":    true,

@@ -250,6 +250,13 @@ func TestDeterminismCertifyFixture(t *testing.T) {
 	runFixture(t, "certify", Determinism)
 }
 
+// TestDeterminismPipelineFixture pins the pipeline package's scoping:
+// it produces the listings that are shipped, executed and journaled by
+// hash, so their construction must not depend on map order.
+func TestDeterminismPipelineFixture(t *testing.T) {
+	runFixture(t, "pipeline", Determinism)
+}
+
 // TestDeterminismOutOfScope: the same constructs outside the
 // replay-critical set produce nothing.
 func TestDeterminismOutOfScope(t *testing.T) {

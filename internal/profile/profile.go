@@ -65,11 +65,7 @@ func Run(ep *elab.Program, cfg core.Config, simCfg aquacore.Config) (Yields, err
 	// Planned input volumes of unknown nodes become known part by part;
 	// resolve them lazily through a wrapper that asks the staged source.
 	m := aquacore.New(simCfg, ep.Graph, &inputTracking{rec: rec, src: src, part: sp})
-	dry := map[string]float64{}
-	for slot, v := range ep.Init {
-		dry[ep.Slots[slot]] = v
-	}
-	m.SetDry(dry)
+	m.SetDry(codegen.DryInit(ep))
 	if _, err := m.Run(cg.Prog); err != nil {
 		return nil, err
 	}
