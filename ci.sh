@@ -14,6 +14,9 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# perfbench is its own module (the benchmark), so the root ./... never
+# compiles it; vet it here so API changes it depends on are caught.
+(cd perfbench && go vet ./...)
 
 echo "== fluidvet =="
 # The repo's own analyzers (determinism, diagcode, errwrap, syncerr,

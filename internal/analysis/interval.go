@@ -379,15 +379,11 @@ func (a *intervalAnalysis) predictDAGSolve() {
 			d = CodeDAGSolveUnderflow.New(a.ctx.posOfOrig(part.origID(to.ID())),
 				"DAGSolve would underflow: %s receives %.4g nl from %s (least count %.4g nl) when %s is filled to capacity",
 				to.Name, v.Edge[worstEdge.ID()]*scale, worstEdge.From.Name, a.cfg.LeastCount, maxN.Name)
-			// Mirror core's diagnose: an underflow at a high-skew two-part
+			// Manage's cascade rule: an underflow at a high-skew two-part
 			// mix is attributed to the ratio and fixed by cascading.
-			skew := dag.ExtremeRatio(to)
-			if to.Kind == dag.Mix && len(to.In()) == 2 && skew > cascadeTrigger(a.cfg) && !cascadeForbidden(to) {
-				if depth := dag.CascadeLevels(skew, cascadeTrigger(a.cfg)); depth >= 2 {
-					d.Suggestion = fmt.Sprintf("the volume manager will cascade mix %s (depth %d)", to.Name, depth)
-				}
-			}
-			if d.Suggestion == "" {
+			if depth, _ := core.CascadeDepth(to, a.cfg); depth > 0 {
+				d.Suggestion = fmt.Sprintf("the volume manager will cascade mix %s (depth %d)", to.Name, depth)
+			} else {
 				d.Suggestion = fmt.Sprintf("the volume manager will transform the DAG (replicating %s) or fall back on the LP solver", maxN.Name)
 			}
 		} else {

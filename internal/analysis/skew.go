@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
@@ -28,30 +27,26 @@ func (SkewPass) Name() string { return "skew" }
 func (SkewPass) Run(ctx *Context) diag.List {
 	var out diag.List
 	maxSkew := ctx.Cfg.MaxSkew()
-	trigger := cascadeTrigger(ctx.Cfg)
 	for _, n := range ctx.Graph.Nodes() {
 		if n == nil || n.Kind != dag.Mix || len(n.In()) < 2 {
 			continue
 		}
 		R := dag.ExtremeRatio(n)
+		depth, whyNot := core.CascadeDepth(n, ctx.Cfg)
 		switch {
+		case R > maxSkew && depth > 0:
+			out = append(out, CodeExtremeRatio.New(ctx.PosOf(n),
+				"mix %s %s exceeds MaxSkew %.6g", n.Name, ratioString(n, R), maxSkew).
+				Suggest("cascade depth %d suffices; the volume manager applies it automatically", dag.CascadeLevels(R, maxSkew)))
 		case R > maxSkew:
-			if depth := dag.CascadeLevels(R, maxSkew); depth >= 2 && len(n.In()) == 2 && !cascadeForbidden(n) {
-				out = append(out, CodeExtremeRatio.New(ctx.PosOf(n),
-					"mix %s %s exceeds MaxSkew %.6g", n.Name, ratioString(n, R), maxSkew).
-					Suggest("cascade depth %d suffices; the volume manager applies it automatically", depth))
-			} else {
-				out = append(out, CodeUncascadable.New(ctx.PosOf(n),
-					"mix %s %s exceeds MaxSkew %.6g and cannot be cascaded (%s)",
-					n.Name, ratioString(n, R), maxSkew, uncascadableReason(n, R, maxSkew)).
-					Suggest("split the dilution into serial stages by hand, or relax the ratio"))
-			}
-		case R > trigger && len(n.In()) == 2 && !cascadeForbidden(n):
-			if depth := dag.CascadeLevels(R, trigger); depth >= 2 {
-				out = append(out, CodeCascadeExpected.New(ctx.PosOf(n),
-					"mix %s %s exceeds the cascade trigger %.4g; the volume manager will cascade it (depth %d) if dispensing underflows",
-					n.Name, ratioString(n, R), trigger, depth))
-			}
+			out = append(out, CodeUncascadable.New(ctx.PosOf(n),
+				"mix %s %s exceeds MaxSkew %.6g and cannot be cascaded (%s)",
+				n.Name, ratioString(n, R), maxSkew, whyNot).
+				Suggest("split the dilution into serial stages by hand, or relax the ratio"))
+		case depth > 0:
+			out = append(out, CodeCascadeExpected.New(ctx.PosOf(n),
+				"mix %s %s exceeds the cascade trigger %.4g; the volume manager will cascade it (depth %d) if dispensing underflows",
+				n.Name, ratioString(n, R), ctx.Cfg.CascadeTrigger(), depth))
 		}
 	}
 	return out
@@ -64,39 +59,4 @@ func ratioString(n *dag.Node, R float64) string {
 		return fmt.Sprintf("ratio 1:%.6g", R)
 	}
 	return fmt.Sprintf("skew %.6g", R)
-}
-
-func uncascadableReason(n *dag.Node, R, maxSkew float64) string {
-	switch {
-	case len(n.In()) != 2:
-		return fmt.Sprintf("cascading supports two-part mixes, this one has %d parts", len(n.In()))
-	case cascadeForbidden(n):
-		return "its fluids forbid excess production (NOEXCESS)"
-	case dag.CascadeLevels(R, maxSkew) < 2:
-		return "no supported cascade depth brings each stage under MaxSkew"
-	default:
-		return "unknown"
-	}
-}
-
-// cascadeForbidden mirrors core's rule: cascading never introduces excess
-// of a mix whose result or components are marked NOEXCESS.
-func cascadeForbidden(n *dag.Node) bool {
-	if n.NoExcess {
-		return true
-	}
-	for _, e := range n.In() {
-		if e.From.NoExcess {
-			return true
-		}
-	}
-	return false
-}
-
-// cascadeTrigger mirrors core's default: sqrt(MaxSkew) when unset.
-func cascadeTrigger(cfg core.Config) float64 {
-	if cfg.CascadeTrigger > 0 {
-		return cfg.CascadeTrigger
-	}
-	return math.Sqrt(cfg.MaxSkew())
 }

@@ -93,11 +93,11 @@ type CertifyPart func(part int, plan *core.Plan, avail core.Availability) error
 func (s *StagedSource) SolveErrors() []error { return s.solveErrs }
 
 // NewStagedSource wraps sp, solving every measurement-independent
-// partition up front (the compile-time share of the work). A non-nil
-// check certifies each feasible plan as it is solved: a static
-// partition failing certification fails construction outright, and a
-// runtime-solved one is condemned (its volumes withheld) so the run
-// fail-stops before executing it.
+// partition sp has not solved yet (the compile-time share of the work).
+// A non-nil check certifies each feasible plan the source solves: a
+// static partition failing certification fails construction outright,
+// and a runtime-solved one is condemned (its volumes withheld) so the
+// run fail-stops before executing it.
 func NewStagedSource(sp *core.StagedPlan, check CertifyPart) (*StagedSource, error) {
 	s := &StagedSource{
 		sp:        sp,
@@ -165,30 +165,7 @@ func (s *StagedSource) Measured(nodeID int, port string, volume float64) {
 		return v, ok
 	}
 	for i := 0; i < s.sp.NumParts(); i++ {
-		if s.sp.Plans[i] != nil {
-			continue
-		}
-		ready := true
-		for _, b := range s.sp.Partition.Bindings {
-			if b.Part != i {
-				continue
-			}
-			switch {
-			case b.SourceUnknown:
-				if _, ok := measure(b.SourceID, b.SourcePort); !ok {
-					ready = false
-				}
-			case b.SourcePart >= 0:
-				// A cut known-volume source: defer until its part solved.
-				if _, ok := s.sp.Produced(b.SourceID); !ok {
-					ready = false
-				}
-			}
-			if !ready {
-				break
-			}
-		}
-		if !ready {
+		if s.sp.Plans[i] != nil || s.sp.Ready(i, measure) != nil {
 			continue
 		}
 		plan, err := s.sp.SolvePart(i, measure)

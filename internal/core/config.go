@@ -34,14 +34,6 @@ type Config struct {
 	// reference output (§3.2's optional relative output-to-output
 	// constraints). Zero disables the constraints.
 	OutputSkew float64
-	// CascadeTrigger is the mix skew above which a persistent underflow is
-	// attributed to an extreme mix ratio (fixed by cascading) rather than
-	// to numerous uses (fixed by replication). Zero selects
-	// sqrt(MaxCapacity/LeastCount).
-	CascadeTrigger float64
-	// MaxAttempts bounds the transform-and-resolve iterations of the
-	// Fig. 6 hierarchy. Zero selects 16.
-	MaxAttempts int
 	// MaxFluidNodes, when nonzero, bounds the number of wet nodes the
 	// transformed DAG may contain; cascading/replication beyond it fails
 	// compilation (the paper: "the replicated code may exceed the PLoC's
@@ -80,20 +72,6 @@ func DefaultConfig() Config {
 // MaxSkew is the largest mix ratio the hardware can execute directly:
 // MaxCapacity / LeastCount (§3.4.1).
 func (c Config) MaxSkew() float64 { return c.MaxCapacity / c.LeastCount }
-
-func (c Config) cascadeTrigger() float64 {
-	if c.CascadeTrigger > 0 {
-		return c.CascadeTrigger
-	}
-	return math.Sqrt(c.MaxSkew())
-}
-
-func (c Config) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 16
-}
 
 // Validate checks that the configuration is physically meaningful.
 func (c Config) Validate() error {

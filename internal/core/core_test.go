@@ -339,8 +339,23 @@ func TestManageUnmanageable(t *testing.T) {
 	m := g.AddMix("m", dag.Part{Source: a, Ratio: 1}, dag.Part{Source: b, Ratio: 5000})
 	g.AddUnary(dag.Sense, "s", m)
 	_, err := core.Manage(g, cfg(), core.ManageOptions{})
-	if !errors.Is(err, core.ErrUnmanageable) {
-		t.Fatalf("err = %v, want ErrUnmanageable", err)
+	if !errors.Is(err, core.ErrNoTransform) || !errors.Is(err, core.ErrUnmanageable) {
+		t.Fatalf("err = %v, want ErrNoTransform, an ErrUnmanageable", err)
+	}
+}
+
+// Manage tells its two refusals apart: an underflow no transform applies
+// to (above) and running out of attempts while transforms still apply.
+func TestManageAttemptLimit(t *testing.T) {
+	res, err := core.Manage(assays.EnzymeDAG(7), cfg(), core.ManageOptions{SkipLP: true})
+	if !errors.Is(err, core.ErrAttemptLimit) || !errors.Is(err, core.ErrUnmanageable) || errors.Is(err, core.ErrNoTransform) {
+		t.Fatalf("err = %v, want ErrAttemptLimit, an ErrUnmanageable", err)
+	}
+	if !strings.HasPrefix(err.Error(), core.ErrUnmanageable.Error()) {
+		t.Errorf("message %q lost the ErrUnmanageable prefix", err)
+	}
+	if res.Attempts != 16 || len(res.Transforms) != 16 {
+		t.Errorf("attempts %d, transforms %d; want 16 and 16", res.Attempts, len(res.Transforms))
 	}
 }
 

@@ -3,10 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"aquavol/internal/dag"
-	"aquavol/internal/lp"
 )
 
 // TransformKind distinguishes the DAG rewrites of §3.4.
@@ -30,9 +31,8 @@ func (k TransformKind) String() string {
 	}
 }
 
-// Transform records one DAG rewrite. Node identifies the target by its id
-// in the graph state produced by replaying all *earlier* transforms, which
-// makes the sequence deterministically replayable on a fresh clone.
+// Transform records one DAG rewrite. Node is the id of the rewritten
+// node in Manage's working graph, after every earlier transform.
 type Transform struct {
 	Kind   TransformKind
 	Node   int
@@ -49,24 +49,35 @@ func (t Transform) String() string {
 	}
 }
 
+// apply rewrites g in place. A replication balances the node's uses by
+// margin-free Vnorms and charges no budget: the next attempt's solve is
+// the metered work.
+func (t Transform) apply(g *dag.Graph) error {
+	n := g.Node(t.Node)
+	if t.Kind == TransformCascade {
+		return g.Cascade(n, t.Levels)
+	}
+	vn, err := ComputeVnorms(g)
+	if err != nil {
+		return err
+	}
+	_, err = g.Replicate(n, t.Copies, balancedAssign(n, vn, t.Copies))
+	return err
+}
+
 // ManageOptions tunes the hierarchy driver.
 type ManageOptions struct {
 	// SkipLP disables the LP fallback between DAGSolve and the DAG
 	// transforms (useful in benchmarks isolating DAGSolve).
 	SkipLP bool
-	// Avail resolves constrained-input availability when g already
-	// contains constrained inputs; nil selects StaticAvailability.
-	Avail Availability
-	// LP configures the fallback LP solver.
-	LP lp.Options
 }
 
 // ManageResult is the outcome of Manage.
 type ManageResult struct {
 	// Plan is the feasible volume plan.
 	Plan *Plan
-	// Graph is the transformed DAG the plan covers (a clone; the input
-	// graph is never mutated).
+	// Graph is the transformed DAG the last attempt solved, which the plan
+	// covers (a clone; the input graph is never mutated).
 	Graph *dag.Graph
 	// UsedLP reports whether the final plan came from the LP fallback
 	// rather than DAGSolve.
@@ -79,10 +90,23 @@ type ManageResult struct {
 	Trace []string
 }
 
-// ErrUnmanageable reports that no feasible volume assignment was found
-// within the attempt budget; the caller must fall back on run-time
-// regeneration or reject the assay (Fig. 6's terminal states).
+// maxAttempts bounds the solve-and-transform rounds of the hierarchy.
+const maxAttempts = 16
+
+// ErrUnmanageable reports that no feasible volume assignment was found;
+// the caller must fall back on run-time regeneration or reject the assay
+// (Fig. 6's terminal states). Manage returns it as one of two causes,
+// ErrAttemptLimit or ErrNoTransform.
 var ErrUnmanageable = errors.New("core: no feasible volume assignment found")
+
+var (
+	// ErrAttemptLimit reports that every attempt underflowed and the
+	// hierarchy still had a transform to try when the attempts ran out.
+	ErrAttemptLimit = fmt.Errorf("%w: %d attempts", ErrUnmanageable, maxAttempts)
+	// ErrNoTransform reports an underflow that neither cascading nor
+	// replication applies to.
+	ErrNoTransform = fmt.Errorf("%w: no applicable transform", ErrUnmanageable)
+)
 
 // ErrResourceLimit reports that cascading/replication grew the DAG beyond
 // the configured PLoC resources, failing compilation (§3.4.2).
@@ -100,27 +124,20 @@ func Manage(g *dag.Graph, cfg Config, opts ManageOptions) (*ManageResult, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	avail := opts.Avail
-	if avail == nil {
-		avail = StaticAvailability(cfg)
-	}
-	res := &ManageResult{}
+	avail := StaticAvailability(cfg)
+	cur := g.Clone()
+	res := &ManageResult{Graph: cur}
 	tracef := func(format string, args ...any) {
 		res.Trace = append(res.Trace, fmt.Sprintf(format, args...))
 	}
 
-	for attempt := 0; attempt < cfg.maxAttempts(); attempt++ {
-		// Poll at the attempt boundary: transform replay and diagnosis are
+	for attempt := 1; ; attempt++ {
+		// Poll at the attempt boundary: transforms and diagnosis are
 		// cheap, but a cancelled caller must not enter another round.
 		if err := cfg.Budget.Err(); err != nil {
 			return nil, err
 		}
-		res.Attempts = attempt + 1
-		cur, err := replay(g, res.Transforms)
-		if err != nil {
-			return nil, err
-		}
-		res.Graph = cur
+		res.Attempts = attempt
 		if cfg.MaxFluidNodes > 0 && wetNodeCount(cur) > cfg.MaxFluidNodes {
 			tracef("transformed DAG has %d wet nodes > limit %d", wetNodeCount(cur), cfg.MaxFluidNodes)
 			return res, ErrResourceLimit
@@ -130,68 +147,63 @@ func Manage(g *dag.Graph, cfg Config, opts ManageOptions) (*ManageResult, error)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := Dispense(vn, cfg, avail)
+		plan, ds, err := solve(vn, cfg, avail, !opts.SkipLP)
 		if err != nil {
 			return nil, err
 		}
-		if plan.Feasible() {
-			tracef("attempt %d: DAGSolve feasible", attempt+1)
-			res.Plan = plan
+		if ds.Feasible() {
+			tracef("attempt %d: DAGSolve feasible", attempt)
+			res.Plan = ds
 			return res, nil
 		}
-		_, minVol := plan.MinDispense()
-		tracef("attempt %d: DAGSolve underflow (min dispense %.4g nl)", attempt+1, minVol)
-
-		if !opts.SkipLP {
-			lpPlan, err := SolveLP(cur, cfg, FormulateOptions{}, avail)
-			switch {
-			case err == nil && lpPlan.Feasible():
-				tracef("attempt %d: LP fallback feasible", attempt+1)
-				res.Plan = lpPlan
-				res.UsedLP = true
-				return res, nil
-			case err != nil && !errors.Is(err, ErrLPInfeasible):
-				return nil, err
-			default:
-				tracef("attempt %d: LP infeasible too", attempt+1)
-			}
+		_, minVol := ds.MinDispense()
+		tracef("attempt %d: DAGSolve underflow (min dispense %.4g nl)", attempt, minVol)
+		switch {
+		case plan != ds:
+			tracef("attempt %d: LP fallback feasible", attempt)
+			res.Plan = plan
+			res.UsedLP = true
+			return res, nil
+		case !opts.SkipLP:
+			tracef("attempt %d: LP infeasible too", attempt)
 		}
 
-		t, why, ok := diagnose(plan, cur, cfg)
+		t, why, ok := diagnose(ds, cur, cfg)
 		if !ok {
-			tracef("attempt %d: no applicable transform (%s)", attempt+1, why)
-			return res, ErrUnmanageable
+			tracef("attempt %d: no applicable transform (%s)", attempt, why)
+			return res, ErrNoTransform
 		}
-		tracef("attempt %d: applying %s (%s)", attempt+1, t, why)
+		tracef("attempt %d: applying %s (%s)", attempt, t, why)
 		res.Transforms = append(res.Transforms, t)
+		if attempt == maxAttempts {
+			return res, ErrAttemptLimit
+		}
+		if err := t.apply(cur); err != nil {
+			return nil, err
+		}
 	}
-	return res, ErrUnmanageable
 }
 
-// replay applies the transform sequence to a fresh clone of g.
-func replay(g *dag.Graph, ts []Transform) (*dag.Graph, error) {
-	cur := g.Clone()
-	for _, t := range ts {
-		n := cur.Node(t.Node)
-		if n == nil {
-			return nil, fmt.Errorf("core: transform %v targets missing node", t)
-		}
-		switch t.Kind {
-		case TransformCascade:
-			if err := cur.Cascade(n, t.Levels); err != nil {
-				return nil, err
-			}
-		case TransformReplicate:
-			vn, err := ComputeVnorms(cur)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := cur.Replicate(n, t.Copies, balancedAssign(n, vn, t.Copies)); err != nil {
-				return nil, err
-			}
-		}
+// solve is the solve step of the hierarchy, shared by Manage,
+// StagedPlan.SolvePart and SolveResidual: DAGSolve's forward pass over
+// vn and, when that underflows and withLP is set, the LP over the same
+// graph and availability. ds is the DAGSolve plan. plan is the LP plan
+// when the LP is feasible, else ds, whose underflows the caller
+// diagnoses; an infeasible LP is not an error. ds is nil only when the
+// forward pass itself failed, which tells that failure from an LP one.
+func solve(vn *Vnorms, cfg Config, avail Availability, withLP bool) (plan, ds *Plan, err error) {
+	ds, err = Dispense(vn, cfg, avail)
+	if err != nil || ds.Feasible() || !withLP {
+		return ds, ds, err
 	}
-	return cur, nil
+	lpPlan, err := SolveLP(vn.Graph, cfg, FormulateOptions{}, avail)
+	switch {
+	case err == nil && lpPlan.Feasible():
+		return lpPlan, ds, nil
+	case err != nil && !errors.Is(err, ErrLPInfeasible):
+		return nil, ds, err
+	}
+	return ds, ds, nil
 }
 
 // balancedAssign distributes a node's outbound uses across replicas so that
@@ -234,16 +246,11 @@ func balancedAssign(n *dag.Node, vn *Vnorms, copies int) func(*dag.Edge) int {
 // numerous uses (replicate the dispensing bottleneck, i.e. the node with
 // the largest Vnorm).
 func diagnose(plan *Plan, g *dag.Graph, cfg Config) (Transform, string, bool) {
-	edge, _ := plan.MinDispense()
-	if edge != nil {
+	if edge, _ := plan.MinDispense(); edge != nil {
 		n := edge.To
-		skew := dag.ExtremeRatio(n)
-		if n.Kind == dag.Mix && len(n.In()) == 2 && skew > cfg.cascadeTrigger() && !cascadeForbidden(n) {
-			levels := dag.CascadeLevels(skew, cfg.cascadeTrigger())
-			if levels >= 2 {
-				return Transform{Kind: TransformCascade, Node: n.ID(), Levels: levels},
-					fmt.Sprintf("mix %s skew %.3g exceeds trigger %.3g", n.Name, skew, cfg.cascadeTrigger()), true
-			}
+		if levels, _ := CascadeDepth(n, cfg); levels > 0 {
+			return Transform{Kind: TransformCascade, Node: n.ID(), Levels: levels},
+				fmt.Sprintf("mix %s skew %.3g exceeds trigger %.3g", n.Name, dag.ExtremeRatio(n), cfg.CascadeTrigger()), true
 		}
 	}
 	// Replicate the bottleneck: largest-Vnorm node that can be replicated.
@@ -274,18 +281,31 @@ func diagnose(plan *Plan, g *dag.Graph, cfg Config) (Transform, string, bool) {
 	return Transform{}, "no cascade target and no replicable bottleneck", false
 }
 
-// cascadeForbidden reports whether the mix involves fluids for which
-// excess production is disallowed.
-func cascadeForbidden(n *dag.Node) bool {
-	if n.NoExcess {
-		return true
+// CascadeTrigger is the mix skew above which the hierarchy attributes an
+// underflow to the mix ratio, fixed by cascading, rather than to numerous
+// uses, fixed by replication: sqrt(MaxSkew).
+func (c Config) CascadeTrigger() float64 { return math.Sqrt(c.MaxSkew()) }
+
+// CascadeDepth is the hierarchy's cascade rule. When DAGSolve underflows
+// at mix n, Manage cascades it if it is a two-part mix whose skew
+// exceeds cfg.CascadeTrigger(), none of its fluids is NOEXCESS, and some
+// depth of at least two brings every stage under the trigger. It returns
+// that depth, or 0 and the reason the rule does not apply. The static
+// analyzer asks it too, so its predictions match what Manage does.
+func CascadeDepth(n *dag.Node, cfg Config) (int, string) {
+	skew := dag.ExtremeRatio(n)
+	switch {
+	case n.Kind != dag.Mix || len(n.In()) != 2:
+		return 0, fmt.Sprintf("cascading supports two-part mixes, this one has %d parts", len(n.In()))
+	case skew <= cfg.CascadeTrigger():
+		return 0, fmt.Sprintf("skew %.3g is within the cascade trigger %.3g", skew, cfg.CascadeTrigger())
+	case n.NoExcess || slices.ContainsFunc(n.In(), func(e *dag.Edge) bool { return e.From.NoExcess }):
+		return 0, "its fluids forbid excess production (NOEXCESS)"
 	}
-	for _, e := range n.In() {
-		if e.From.NoExcess {
-			return true
-		}
+	if levels := dag.CascadeLevels(skew, cfg.CascadeTrigger()); levels >= 2 {
+		return levels, ""
 	}
-	return false
+	return 0, "no supported cascade depth brings each stage under the cascade trigger"
 }
 
 // wetNodeCount counts nodes that occupy fluidic resources (everything but

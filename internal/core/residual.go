@@ -84,27 +84,24 @@ func SolveResidual(r *dag.Residual, cfg Config, live LiveVolume) (*ResidualPlan,
 		}
 		return live(b.SourceID, b.SourcePort)
 	}
-	plan, err := DAGSolve(r.Graph, cfg, avail)
-	if err != nil {
-		// A tripped budget is a stop, not infeasibility: wrap nothing, so
-		// the cause reaches the caller instead of triggering the
-		// regeneration fallback replan callers apply to infeasible errors.
-		if budget.IsStop(err) {
-			return nil, err
-		}
+	vn, err := computeVnormsBudgeted(r.Graph, cfg.SafetyMargin, cfg.Budget)
+	var plan, ds *Plan
+	if err == nil {
+		plan, ds, err = solve(vn, cfg, avail, true)
+	}
+	switch {
+	case err == nil && plan.Feasible():
+		return &ResidualPlan{Plan: plan, Residual: r, Method: plan.Method}, nil
+	// A tripped budget is a stop, not infeasibility: wrap nothing, so the
+	// cause reaches the caller instead of triggering the regeneration
+	// fallback replan callers apply to infeasible errors. LP failures
+	// other than infeasibility pass through unwrapped as well.
+	case budget.IsStop(err) || err != nil && ds != nil:
+		return nil, err
+	case err != nil:
 		// Unknown interior nodes (ErrNeedsPartition), unknown availability,
 		// degenerate residuals: all mean "cannot replan", not "cannot run".
 		return nil, fmt.Errorf("%w: %w", ErrResidualInfeasible, err)
-	}
-	if plan.Feasible() {
-		return &ResidualPlan{Plan: plan, Residual: r, Method: plan.Method}, nil
-	}
-	lpPlan, lerr := SolveLP(r.Graph, cfg, FormulateOptions{}, avail)
-	if lerr == nil && lpPlan.Feasible() {
-		return &ResidualPlan{Plan: lpPlan, Residual: r, Method: lpPlan.Method}, nil
-	}
-	if lerr != nil && !errors.Is(lerr, ErrLPInfeasible) {
-		return nil, lerr
 	}
 	detail := "no feasible plan"
 	if len(plan.Underflows) > 0 {

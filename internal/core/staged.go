@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"aquavol/internal/budget"
 	"aquavol/internal/dag"
@@ -76,24 +78,41 @@ func NewStagedPlan(g *dag.Graph, cfg Config) (*StagedPlan, error) {
 // NumParts reports the number of partitions.
 func (sp *StagedPlan) NumParts() int { return len(sp.Partition.Parts) }
 
-// Produced reports the planned production of a cut known-volume node
-// (keyed by original node id) once its part has been solved. Runtime
-// sources use it to defer dependent parts instead of solving out of
-// order.
-func (sp *StagedPlan) Produced(origNodeID int) (float64, bool) {
-	v, ok := sp.produced[origNodeID]
-	return v, ok
+// Clone returns a copy of the plan's solved state: the parts solved so
+// far and their productions. The partition and Vnorms are shared, since
+// nothing writes them after NewStagedPlan. Each run solves its runtime
+// parts on its own copy of the compile-time state.
+func (sp *StagedPlan) Clone() *StagedPlan {
+	c := *sp
+	c.Plans = slices.Clone(sp.Plans)
+	c.UsedLP = slices.Clone(sp.UsedLP)
+	c.produced = maps.Clone(sp.produced)
+	return &c
 }
 
-// Static reports whether part i can be solved at compile time (no
-// run-time-measured constrained inputs).
-func (sp *StagedPlan) Static(i int) bool {
+// Ready decides whether part i can be solved now: PartAvailability must
+// know the volume of every constrained input, from a natural input's
+// static share, an earlier part's planned production, or a run-time
+// measurement that measure reports. It returns nil when the part is
+// ready, else an error naming the first missing input; a missing
+// production wraps ErrPartOrder.
+func (sp *StagedPlan) Ready(i int, measure Measure) error {
+	avail := sp.PartAvailability(i, measure)
 	for _, b := range sp.Partition.Bindings {
-		if b.Part == i && b.SourceUnknown {
-			return false
+		if b.Part != i {
+			continue
 		}
+		if _, ok := avail(sp.Partition.Parts[i].Node(b.NodeID)); ok {
+			continue
+		}
+		if b.SourceUnknown {
+			return fmt.Errorf("core: part %d: volume of unknown-volume node %d (port %q) not measured",
+				i, b.SourceID, b.SourcePort)
+		}
+		return fmt.Errorf("%w: part %d needs production of node %d (part %d)",
+			ErrPartOrder, i, b.SourceID, b.SourcePart)
 	}
-	return true
+	return nil
 }
 
 // bindingFor finds the binding describing a constrained-input node of part
@@ -147,49 +166,27 @@ func (sp *StagedPlan) PartAvailability(i int, measure Measure) Availability {
 // the solver used.
 func (sp *StagedPlan) Config() Config { return sp.cfg }
 
-// SolvePart assigns absolute volumes for part i. Availability of each
-// constrained input is share × (MaxCapacity | planned production |
-// measured volume) depending on whether its source is a natural input, a
-// cut known-volume node from an earlier part, or an unknown-volume node
-// (in which case measure must report it).
-//
-// DAGSolve is attempted first; on underflow the LP formulation of the part
-// is tried before giving up (mirroring the hierarchy; DAG transforms are
-// not attempted inside partitions).
+// SolvePart assigns absolute volumes for part i. It refuses a part that
+// is not Ready. DAGSolve is attempted first; on underflow the LP
+// formulation of the part is tried before giving up (the hierarchy's
+// solve step; DAG transforms are not attempted inside partitions).
 func (sp *StagedPlan) SolvePart(i int, measure Measure) (*Plan, error) {
 	if i < 0 || i >= sp.NumParts() {
 		return nil, fmt.Errorf("core: part %d out of range [0,%d)", i, sp.NumParts())
 	}
-	// Poll at the part boundary; Dispense/SolveLP below charge the meter.
+	// Poll at the part boundary; the solve step below charges the meter.
 	if err := sp.cfg.Budget.Err(); err != nil {
 		return nil, err
 	}
-	avail := sp.PartAvailability(i, measure)
-	// Pre-validate ordering: every non-static source must be resolvable.
-	for _, b := range sp.Partition.Bindings {
-		if b.Part != i || b.SourcePart == -1 || b.SourceUnknown {
-			continue
-		}
-		if _, ok := sp.produced[b.SourceID]; !ok {
-			return nil, fmt.Errorf("%w: part %d needs production of node %d (part %d)",
-				ErrPartOrder, i, b.SourceID, b.SourcePart)
-		}
+	if err := sp.Ready(i, measure); err != nil {
+		return nil, err
 	}
-
-	plan, err := Dispense(sp.Vnorms[i], sp.cfg, avail)
+	plan, _, err := solve(sp.Vnorms[i], sp.cfg, sp.PartAvailability(i, measure), true)
 	if err != nil {
 		return nil, err
 	}
-	if !plan.Feasible() {
-		lpPlan, lerr := SolveLP(sp.Partition.Parts[i], sp.cfg, FormulateOptions{}, avail)
-		if lerr == nil && lpPlan.Feasible() {
-			plan = lpPlan
-			sp.UsedLP[i] = true
-		} else if lerr != nil && !errors.Is(lerr, ErrLPInfeasible) {
-			return nil, lerr
-		}
-	}
 	sp.Plans[i] = plan
+	sp.UsedLP[i] = plan.Method == "lp"
 
 	// Record planned productions for downstream parts.
 	pg := sp.Partition.Parts[i]
@@ -203,27 +200,16 @@ func (sp *StagedPlan) SolvePart(i int, measure Measure) (*Plan, error) {
 	return plan, nil
 }
 
-// SolveStatic solves every part that needs no run-time measurement, in
-// order, and returns the indices solved. Typically called at compile time;
-// the remaining parts are solved during execution as measurements arrive.
+// SolveStatic solves, in order, every part not yet solved that needs no
+// run-time measurement, and returns the indices it solved. Typically
+// called at compile time; the remaining parts are solved during
+// execution as measurements arrive.
 func (sp *StagedPlan) SolveStatic() ([]int, error) {
 	var done []int
 	for i := 0; i < sp.NumParts(); i++ {
-		if !sp.Static(i) {
-			continue
-		}
-		// A static part may still depend on productions of earlier static
-		// parts; those are filled in as we go. Parts are in dependency
-		// order, so a single pass suffices.
-		ready := true
-		for _, b := range sp.Partition.Bindings {
-			if b.Part == i && b.SourcePart >= 0 && !b.SourceUnknown {
-				if _, ok := sp.produced[b.SourceID]; !ok {
-					ready = false
-				}
-			}
-		}
-		if !ready {
+		// Parts are in dependency order, so a static part's inputs from
+		// earlier static parts are produced by the time it is reached.
+		if sp.Plans[i] != nil || sp.Ready(i, nil) != nil {
 			continue
 		}
 		if _, err := sp.SolvePart(i, nil); err != nil {

@@ -108,7 +108,7 @@ func TestSolvePartOrderSentinel(t *testing.T) {
 	measured := func(int, string) (float64, bool) { return 50, true }
 	sawOrder := false
 	for i := 0; i < sp.NumParts(); i++ {
-		if !sp.Static(i) {
+		if sp.Ready(i, nil) != nil {
 			if _, err := sp.SolvePart(i, measured); errors.Is(err, core.ErrPartOrder) {
 				sawOrder = true
 			}

@@ -81,8 +81,8 @@ type Solution struct {
 	// Y holds one dual value (shadow price) per problem constraint,
 	// indexed by ConID, in the problem's original orientation: Y[i] is
 	// ∂Objective/∂rhs_i at the optimum. Filled only when Status is
-	// Optimal; nil otherwise (and always nil from SolveExact, which
-	// reports no basis). Duals are not unique on degenerate problems
+	// Optimal; nil otherwise (and always nil from the tests' exact
+	// referee, which reports no basis). Duals are not unique on degenerate problems
 	// (e.g. redundant constraints); the basis the solver lands on picks
 	// one valid certificate.
 	Y []float64

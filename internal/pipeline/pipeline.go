@@ -133,7 +133,12 @@ func Plan(ep *elab.Program, opts Options) (*Compiled, error) {
 	c := &Compiled{Program: ep, Graph: ep.Graph, cfg: cfg, opts: opts}
 	switch {
 	case ep.Graph.HasRuntimeVolumes():
-		sp, _, err := c.stagedSource()
+		// The source solves and certifies every static partition; each
+		// run starts from a copy of that state (NewMachine).
+		sp, err := core.NewStagedPlan(ep.Graph, cfg)
+		if err == nil {
+			_, err = aquacore.NewStagedSource(sp, c.checkPlan)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -197,18 +202,6 @@ func (c *Compiled) checkPlan(_ int, p *core.Plan, avail core.Availability) error
 	return certify.CheckPlan(p, c.cfg, avail)
 }
 
-// stagedSource builds a fresh staged plan and the run-time volume source
-// over it, solving and certifying every partition that needs no
-// measurement.
-func (c *Compiled) stagedSource() (*core.StagedPlan, *aquacore.StagedSource, error) {
-	sp, err := core.NewStagedPlan(c.Program.Graph, c.cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ss, err := aquacore.NewStagedSource(sp, c.checkPlan)
-	return sp, ss, err
-}
-
 // Generate runs code generation, builds the volume table of a static
 // plan and, unless NoVerify, runs the verifier over the listing.
 //
@@ -247,13 +240,14 @@ func (c *Compiled) Generate() error {
 }
 
 // NewMachine builds a fresh machine for one run of the generated program
-// on the simulated PLoC described by mc: a new volume source (a staged
-// assay replans from its first partition) and the program's initial dry
-// registers.
+// on the simulated PLoC described by mc: a new volume source and the
+// program's initial dry registers. A staged assay's source starts from a
+// copy of the compile-time partitions, so nothing is solved or charged
+// twice, and certifies the partitions it solves at run time.
 func (c *Compiled) NewMachine(mc aquacore.Config) (*aquacore.Machine, error) {
 	var src aquacore.VolumeSource = aquacore.PlanSource{Plan: c.Plan}
-	if c.Plan == nil {
-		_, ss, err := c.stagedSource()
+	if c.Staged != nil {
+		ss, err := aquacore.NewStagedSource(c.Staged.Clone(), c.checkPlan)
 		if err != nil {
 			return nil, err
 		}

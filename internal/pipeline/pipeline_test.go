@@ -184,3 +184,44 @@ func TestBudgetStopsPlanning(t *testing.T) {
 		t.Fatalf("err = %v, want a budget stop", err)
 	}
 }
+
+// A staged assay's static partitions are solved and certified once per
+// compile: every machine starts from a copy of that state, so building
+// machines charges nothing more, and each run still solves its runtime
+// partitions on its own.
+func TestStagedPartsSolvedOncePerCompile(t *testing.T) {
+	meter := budget.New(0)
+	c, err := pipeline.Compile(assays.GlycomicsSource, pipeline.Options{Budget: meter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := meter.Used()
+	if compiled == 0 {
+		t.Fatal("compile charged no work")
+	}
+	var ms []*aquacore.Machine
+	for i := 0; i < 2; i++ {
+		m, err := c.NewMachine(aquacore.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	if used := meter.Used(); used != compiled {
+		t.Errorf("two NewMachine calls charged %d units beyond the compile's %d", used-compiled, compiled)
+	}
+	for i, m := range ms {
+		res, err := m.Run(c.Code.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Clean() {
+			t.Fatalf("run %d: %d volume events, first %v", i, len(res.Events), res.Events[0])
+		}
+	}
+	for i, p := range c.Staged.Plans {
+		if p == nil && c.Staged.Ready(i, nil) == nil {
+			t.Errorf("static part %d left unsolved", i)
+		}
+	}
+}

@@ -56,62 +56,49 @@ type Candidate struct {
 	Why string
 }
 
-// CostModel prices candidate repairs in reagent-equivalent nanoliters.
-// The zero value selects the defaults noted on each field.
-type CostModel struct {
-	// TimeWeight converts simulated seconds to nl-equivalents
-	// (default 0.05: a minute of machine time ≈ 3 nl of reagent).
-	TimeWeight float64
-	// DegradePenalty prices an unrepaired fault (default 1e6): any
-	// repair that consumes actual fluid and time still beats giving up.
-	DegradePenalty float64
-	// AbortPenalty prices killing the run (default 1e9): strictly worse
-	// than completing degraded.
-	AbortPenalty float64
-}
+// The cost model prices candidate repairs in reagent-equivalent
+// nanoliters.
+const (
+	// timeWeight converts simulated seconds to nl-equivalents: a minute
+	// of machine time is worth about 3 nl of reagent.
+	timeWeight = 0.05
+	// degradePenalty prices an unrepaired fault: any repair that consumes
+	// actual fluid and time still beats giving up.
+	degradePenalty = 1e6
+	// abortPenalty prices killing the run: strictly worse than completing
+	// degraded.
+	abortPenalty = 1e9
+)
 
-func (c CostModel) withDefaults() CostModel {
-	if c.TimeWeight == 0 {
-		c.TimeWeight = 0.05
-	}
-	if c.DegradePenalty == 0 {
-		c.DegradePenalty = 1e6
-	}
-	if c.AbortPenalty == 0 {
-		c.AbortPenalty = 1e9
-	}
-	return c
-}
-
-// Cost scores one candidate: reagent plus time-weighted seconds, plus
+// cost scores one candidate: reagent plus time-weighted seconds, plus
 // the give-up penalty for degrade/abort.
-func (c CostModel) Cost(cand Candidate) float64 {
-	cost := cand.Reagent + c.TimeWeight*cand.Seconds
+func cost(cand Candidate) float64 {
+	c := cand.Reagent + timeWeight*cand.Seconds
 	switch cand.Kind {
 	case RepairDegrade:
-		cost += c.DegradePenalty
+		c += degradePenalty
 	case RepairAbort:
-		cost += c.AbortPenalty
+		c += abortPenalty
 	default:
 		// Retry/rescale/regen/replan carry no fixed penalty beyond their
 		// reagent and time terms.
 	}
-	return cost
+	return c
 }
 
-// Choose picks the cheapest viable candidate; cost ties break toward
+// choose picks the cheapest viable candidate; cost ties break toward
 // the less invasive kind (the RepairKind ordering). The second return
 // is false when no candidate is viable.
-func (c CostModel) Choose(cands ...Candidate) (Candidate, bool) {
+func choose(cands ...Candidate) (Candidate, bool) {
 	best, found := Candidate{}, false
 	var bestCost float64
 	for _, cand := range cands {
 		if !cand.Viable {
 			continue
 		}
-		cost := c.Cost(cand)
-		if !found || cost < bestCost || (cost == bestCost && cand.Kind < best.Kind) {
-			best, bestCost, found = cand, cost, true
+		c := cost(cand)
+		if !found || c < bestCost || (c == bestCost && cand.Kind < best.Kind) {
+			best, bestCost, found = cand, c, true
 		}
 	}
 	return best, found

@@ -24,7 +24,8 @@
 //
 // Which repair runs is decided by a small policy engine (policy.go): each
 // applicable strategy becomes a Candidate priced in reagent-equivalent
-// nanoliters by a CostModel, and the cheapest viable one is applied.
+// nanoliters by a fixed cost model, and the cheapest viable one is
+// applied.
 //
 // The package name is recovery (the directory is internal/recover; the
 // package cannot be named after the builtin without shadowing it in every
@@ -86,6 +87,21 @@ func (s Status) String() string {
 	}
 }
 
+// Fixed repair budgets. Options holds the ones a caller may tighten.
+const (
+	// maxRegens bounds backward-slice re-executions across the run.
+	maxRegens = 32
+	// maxRegenRounds bounds consecutive regeneration attempts for one
+	// stalled transfer; a shortfall that survives that many slice
+	// re-executions is structural, not transient.
+	maxRegenRounds = 4
+	// maxReplans bounds residual re-solves across the run.
+	maxReplans = 8
+	// backoffSeconds is the simulated idle before the first retry of an
+	// instruction; attempt k waits k×backoffSeconds.
+	backoffSeconds = 1.0
+)
+
 // Options bounds the repair budgets. The zero value selects the defaults
 // noted on each field.
 type Options struct {
@@ -94,16 +110,6 @@ type Options struct {
 	RetriesPerInstr int
 	// TotalRetries bounds re-attempts across the whole run (default 64).
 	TotalRetries int
-	// MaxRegens bounds backward-slice re-executions across the run
-	// (default 32).
-	MaxRegens int
-	// MaxRegenRounds bounds consecutive regeneration attempts for one
-	// stalled transfer (default 4); a shortfall that survives that many
-	// slice re-executions is structural, not transient.
-	MaxRegenRounds int
-	// BackoffSeconds is the simulated idle before the first retry of an
-	// instruction; attempt k waits k×BackoffSeconds (default 1).
-	BackoffSeconds float64
 	// MaxBackoffSeconds caps the TOTAL simulated backoff across the run
 	// (default 4096): a retry whose wait would push the accumulated
 	// backoff past the cap is not viable, so the run degrades instead of
@@ -129,16 +135,11 @@ type Options struct {
 	// replanning changes downstream volumes, which existing plans may
 	// not want.
 	EnableReplan bool
-	// MaxReplans bounds residual re-solves across the run (default 8).
-	MaxReplans int
 	// NoCertify skips the independent certification of every residual
 	// replan (internal/certify). On by default as defense-in-depth: a
 	// re-solved plan that fails certification counts as a failed repair
 	// and the policy engine falls back to the next-cheapest candidate.
 	NoCertify bool
-	// Cost scores candidate repairs when several apply; the zero value
-	// selects the CostModel defaults.
-	Cost CostModel
 	// Journal, when non-nil, receives the durable-execution record
 	// stream: planned transfers, repair actions, one step record per
 	// instruction boundary, and periodic full snapshots. A journal append
@@ -162,19 +163,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TotalRetries == 0 {
 		o.TotalRetries = 64
-	}
-	if o.MaxRegens == 0 {
-		o.MaxRegens = 32
-	}
-	if o.MaxRegenRounds == 0 {
-		o.MaxRegenRounds = 4
-	}
-	if o.MaxReplans == 0 {
-		o.MaxReplans = 8
-	}
-	o.Cost = o.Cost.withDefaults()
-	if o.BackoffSeconds == 0 {
-		o.BackoffSeconds = 1
 	}
 	if o.MaxBackoffSeconds == 0 {
 		o.MaxBackoffSeconds = 4096
@@ -438,13 +426,13 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 					have := m.VesselVolume(src)
 					var cands []Candidate
 					if canReplan && !rescaled && !rescaleFailed &&
-						out.Replans < opt.MaxReplans && replanViable(prog, c.Clusters, pc) {
+						out.Replans < maxReplans && replanViable(prog, c.Clusters, pc) {
 						cands = append(cands, Candidate{
 							Kind: RepairRescale, Viable: true,
 							Why: "re-solve residual DAG around live volumes",
 						})
 					}
-					if canRegen && rounds < opt.MaxRegenRounds && out.Regens < opt.MaxRegens {
+					if canRegen && rounds < maxRegenRounds && out.Regens < maxRegens {
 						reagent, secs := regenEstimate(m, prog, c, in.Edge)
 						cands = append(cands, Candidate{
 							Kind: RepairRegen, Reagent: reagent, Seconds: secs, Viable: true,
@@ -454,7 +442,7 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 					cands = append(cands, Candidate{
 						Kind: RepairDegrade, Viable: true, Why: "let the draw run short",
 					})
-					choice, _ := opt.Cost.Choose(cands...)
+					choice, _ := choose(cands...)
 					switch choice.Kind {
 					case RepairRescale:
 						ok, err := applyReplan(m, prog, c, pc, boundary, src, need, have, jitterPad, opt.NoCertify, jw, out)
@@ -504,8 +492,8 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 			if err := opt.Budget.Err(); err != nil {
 				return abort(err)
 			}
-			wait := float64(attempts+1) * opt.BackoffSeconds
-			choice, _ := opt.Cost.Choose(
+			wait := float64(attempts+1) * backoffSeconds
+			choice, _ := choose(
 				Candidate{
 					Kind: RepairRetry, Seconds: wait,
 					Viable: !opt.DisableRetry && attempts < opt.RetriesPerInstr && out.Retries < opt.TotalRetries &&
