@@ -4,8 +4,8 @@
 //	go test -bench=. -benchmem
 //
 // The long Enzyme10 LP benchmark only runs with -tags none via the
-// volbench CLI (-full); here the default sweep stops where a dense
-// simplex stays interactive.
+// volbench CLI (-full); here the default sweep stops where the LP
+// solve stays interactive.
 package aquavol
 
 import (

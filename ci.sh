@@ -49,6 +49,7 @@ go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/ais
 go test -fuzz=FuzzParse -fuzztime=10s ./internal/lang/parser
 go test -fuzz=FuzzLint -fuzztime=10s ./internal/analysis
 go test -fuzz=FuzzDecode -fuzztime=10s ./internal/journal
+go test -fuzz=FuzzSolve -fuzztime=10s ./internal/lp
 
 echo "== aisverify over compiled examples =="
 tmp=$(mktemp -d)

@@ -33,8 +33,9 @@
 // -json adds the certify-vs-pipeline overhead (BENCH_certify.json at
 // the repository root is the recorded trajectory).
 //
-// -full enables the long-running Enzyme10 LP solve in table2 (minutes and
-// roughly a gigabyte of tableau, which is the paper's point).
+// -full enables the Enzyme10 LP solve in table2. It was the long one (a
+// dense tableau of about a gigabyte); the sparse simplex proves that
+// LP infeasible in milliseconds (see EXPERIMENTS.md E6).
 package main
 
 import (

@@ -6,6 +6,7 @@
 package aquavol
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,10 +15,12 @@ import (
 	"testing/quick"
 
 	"aquavol/internal/aquacore"
+	"aquavol/internal/certify"
 	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
 	"aquavol/internal/lang"
+	"aquavol/internal/lp"
 )
 
 // randomAssay generates a random, statically-known assay source.
@@ -237,5 +240,93 @@ func TestQuickManageSoundness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dilutionLadder builds a two-stage dilution of a into b at 1:ratio whose
+// product feeds uses further mixes, each sensed.
+func dilutionLadder(ratio float64, uses int) *dag.Graph {
+	g := dag.New()
+	a := g.AddInput("a")
+	b := g.AddInput("b")
+	d1 := g.AddMix("d1", dag.Part{Source: a, Ratio: 1}, dag.Part{Source: b, Ratio: ratio})
+	for i := 0; i < uses; i++ {
+		m := g.AddMix("m", dag.Part{Source: d1, Ratio: 1}, dag.Part{Source: b, Ratio: 1})
+		g.AddUnary(dag.Sense, "s", m)
+	}
+	return g
+}
+
+// outputSum is the RVol objective of a plan: the volume reaching the real
+// outputs (leaves that are neither sources nor excess).
+func outputSum(p *core.Plan) float64 {
+	sum := 0.0
+	for _, n := range p.Graph.Nodes() {
+		if n != nil && n.IsLeaf() && n.Kind != dag.Excess && !n.IsSource() {
+			for _, e := range n.In() {
+				sum += p.EdgeVolume[e.ID()]
+			}
+		}
+	}
+	return sum
+}
+
+// Differential oracle from §3.3: DAGSolve solves an over-constrained RVol
+// (every output gets the same volume and every edge its fixed share), so a
+// feasible DAGSolve plan is a feasible point of the LP. Whenever DAGSolve
+// is feasible the LP must therefore be optimal with at least DAGSolve's
+// output volume, and every optimal LP plan must pass the independent
+// certificate check. The cases are random assays and extreme-ratio
+// dilution ladders (1:9 to 1:4999, up to 16 uses).
+func TestDAGSolveBoundsLP(t *testing.T) {
+	cfg := core.DefaultConfig()
+	var dagFeasible, lpOptimal, lpInfeasible, lpOnly int
+	for seed := int64(1); seed <= 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var g *dag.Graph
+		if seed%2 == 0 {
+			src := randomAssay(r)
+			ep, err := lang.Compile(src)
+			if err != nil {
+				t.Fatalf("seed %d: compile: %v\n%s", seed, err, src)
+			}
+			g = ep.Graph
+		} else {
+			g = dilutionLadder([]float64{9, 99, 999, 4999}[r.Intn(4)], 1+r.Intn(16))
+		}
+		dp, err := core.DAGSolve(g, cfg, nil)
+		if err != nil {
+			t.Fatalf("seed %d: DAGSolve: %v", seed, err)
+		}
+		lpPlan, err := core.SolveLP(g, cfg, core.FormulateOptions{}, nil)
+		switch {
+		case errors.Is(err, core.ErrLPInfeasible):
+			lpInfeasible++
+			if dp.Feasible() {
+				t.Errorf("seed %d: DAGSolve is feasible but the LP is infeasible", seed)
+			}
+			continue
+		case err != nil:
+			t.Fatalf("seed %d: SolveLP: %v", seed, err)
+		}
+		lpOptimal++
+		if err := certify.CheckPlan(lpPlan, cfg, nil); err != nil {
+			t.Errorf("seed %d: LP plan fails certification: %v", seed, err)
+		}
+		if !dp.Feasible() {
+			lpOnly++
+			continue
+		}
+		dagFeasible++
+		lpObj, dagObj := outputSum(lpPlan), outputSum(dp)
+		if lpObj < dagObj-lp.ObjectiveRelTol*(1+math.Abs(lpObj)) {
+			t.Errorf("seed %d: LP output %v below DAGSolve's %v", seed, lpObj, dagObj)
+		}
+	}
+	t.Logf("%d DAGSolve-feasible, %d LP optimal, %d LP infeasible, %d rescued by the LP only",
+		dagFeasible, lpOptimal, lpInfeasible, lpOnly)
+	if dagFeasible == 0 || lpInfeasible == 0 || lpOnly == 0 {
+		t.Errorf("oracle exercised too little: %d DAGSolve-feasible, %d LP infeasible, %d LP-only",
+			dagFeasible, lpInfeasible, lpOnly)
 	}
 }

@@ -210,9 +210,6 @@ func TestDefiniteVerdictsMatchLP(t *testing.T) {
 			if prog == nil {
 				t.Fatalf("front end rejected %s:\n%s", file, findings.Error())
 			}
-			if prog.Graph.NumEdges() > 400 {
-				t.Skipf("%d edges: too large for the dense simplex cross-check", prog.Graph.NumEdges())
-			}
 			definite := hasCode(findings, analysis.CodeUnderflow, analysis.CodeOverflow)
 			plan, err := core.SolveLP(prog.Graph, cfg, core.FormulateOptions{}, nil)
 			switch {

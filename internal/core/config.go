@@ -51,8 +51,9 @@ type Config struct {
 	SafetyMargin float64
 	// Budget, when non-nil, bounds and cancels planning cooperatively:
 	// DAGSolve charges a work unit per node visit and per dispensed
-	// edge, the LP path charges one per simplex pivot, and every entry
-	// point polls it at its boundaries. A tripped budget surfaces as a
+	// edge, the LP path charges one per simplex pricing pass (each
+	// pivot plus one per phase), and every entry point polls it at its
+	// boundaries. A tripped budget surfaces as a
 	// typed error (budget.ErrCancelled / ErrDeadline / ErrExhausted).
 	// The meter is config, not plan state: it is never recorded in
 	// plans, journals, or snapshots.

@@ -70,6 +70,11 @@ type Formulation struct {
 // assignment (underflow is unavoidable without transforming the DAG).
 var ErrLPInfeasible = errors.New("core: LP formulation infeasible")
 
+// ErrLPUnsolved reports that the LP solve stopped without an answer: it
+// hit its iteration limit or found the formulation unbounded. The wrapping
+// error names the lp.Status.
+var ErrLPUnsolved = errors.New("core: LP solve ended without an optimum")
+
 // Formulate builds the RVol LP for g: variables for every edge volume and
 // every source's produced volume; constraint classes 1-5 of §3.2 plus the
 // optional output-to-output bounds; objective maximizing the sum of real
@@ -112,7 +117,7 @@ func Formulate(g *dag.Graph, cfg Config, opts FormulateOptions, avail Availabili
 		}
 		v := f.Prob.AddVariable(fmt.Sprintf("e%d_%s_to_%s", e.ID(), e.From.Name, e.To.Name))
 		// Upper bounds are implied by the per-node capacity rows; leaving
-		// them open keeps the simplex tableau free of redundant rows.
+		// them open keeps the LP free of redundant bound rows.
 		f.Prob.SetBounds(v, cfg.LeastCount, inf)
 		f.EdgeVar[e.ID()] = v
 		f.Counts.MinVolume++
@@ -281,7 +286,8 @@ func Formulate(g *dag.Graph, cfg Config, opts FormulateOptions, avail Availabili
 }
 
 // Solve optimizes the formulation and extracts a Plan. It returns
-// ErrLPInfeasible when no feasible assignment exists.
+// ErrLPInfeasible when no feasible assignment exists and ErrLPUnsolved
+// when the solver stops for any other reason.
 func (f *Formulation) Solve(opts lp.Options) (*Plan, error) {
 	sol, err := f.Prob.Solve(opts)
 	if err != nil {
@@ -292,7 +298,7 @@ func (f *Formulation) Solve(opts lp.Options) (*Plan, error) {
 	case lp.Infeasible:
 		return nil, ErrLPInfeasible
 	default:
-		return nil, fmt.Errorf("core: LP solve ended with status %v", sol.Status)
+		return nil, fmt.Errorf("%w: status %v", ErrLPUnsolved, sol.Status)
 	}
 	g := f.graph
 	p := &Plan{
@@ -338,7 +344,8 @@ func (f *Formulation) Solve(opts lp.Options) (*Plan, error) {
 }
 
 // SolveLP formulates and solves the RVol LP in one step. A non-nil
-// cfg.Budget is charged one work unit per simplex pivot.
+// cfg.Budget is charged one work unit per simplex pricing pass: every
+// pivot, plus one closing pass per phase.
 func SolveLP(g *dag.Graph, cfg Config, opts FormulateOptions, avail Availability) (*Plan, error) {
 	f, err := Formulate(g, cfg, opts, avail)
 	if err != nil {

@@ -32,7 +32,7 @@ func TestManagePinned(t *testing.T) {
 		{"glucose", assays.GlucoseDAG(), core.ManageOptions{}, 1, false, 0x331f2f15, 13, nil},
 		{"enzyme2", assays.EnzymeDAG(2), core.ManageOptions{}, 1, false, 0x7af776b5, 34, nil},
 		{"enzyme3", assays.EnzymeDAG(3), core.ManageOptions{}, 1, false, 0x0d5e5536, 94, nil},
-		{"enzyme4", assays.EnzymeDAG(4), core.ManageOptions{}, 4, true, 0x43c8b011, 220, nil},
+		{"enzyme4", assays.EnzymeDAG(4), core.ManageOptions{}, 4, true, 0x731d3b37, 220, nil},
 		{"enzyme4-skiplp", assays.EnzymeDAG(4), core.ManageOptions{SkipLP: true}, 7, false, 0x38968412, 226, nil},
 		{"enzyme5-skiplp", assays.EnzymeDAG(5), core.ManageOptions{SkipLP: true}, 10, false, 0xac2e0463, 430, nil},
 		{"enzyme6-skiplp", assays.EnzymeDAG(6), core.ManageOptions{SkipLP: true}, 14, false, 0x49a2ddc2, 731, nil},

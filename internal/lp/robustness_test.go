@@ -142,3 +142,73 @@ func TestQuickRowScalingInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Problems large enough to refactorize the basis several times, with
+// duplicated equality rows that phase 1 leaves as redundant, end at a
+// certified optimum: a feasible point, sign-feasible duals, and no duality
+// gap. Integer data keeps every equality exactly consistent.
+func TestRefactorizedSolvesCertified(t *testing.T) {
+	refactorized := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		const nv, nc, hi = 60, 50, 50
+		p := NewProblem(Maximize)
+		x0 := make([]float64, nv)
+		for j := range x0 {
+			v := p.AddVariable("")
+			p.SetBounds(v, 0, hi)
+			p.SetObjective(v, float64(r.Intn(7)-1))
+			x0[j] = float64(r.Intn(11))
+		}
+		for i := 0; i < nc; i++ {
+			var terms []Term
+			dot := 0.0
+			for j := range x0 {
+				if r.Intn(3) == 0 {
+					c := float64(r.Intn(7) - 2)
+					terms = append(terms, Term{VarID(j), c})
+					dot += c * x0[j]
+				}
+			}
+			switch r.Intn(3) {
+			case 0:
+				p.AddConstraint("", terms, LE, dot+float64(r.Intn(5)))
+			case 1:
+				p.AddConstraint("", terms, GE, dot-float64(r.Intn(5)))
+			default:
+				p.AddConstraint("", terms, EQ, dot)
+				double := make([]Term, len(terms))
+				for k, tm := range terms {
+					double[k] = Term{tm.Var, 2 * tm.Coef}
+				}
+				p.AddConstraint("", double, EQ, 2*dot)
+			}
+		}
+		s := solveOrFatal(t, p)
+		if s.Status != Optimal {
+			t.Fatalf("seed %d: status %v, want optimal (x0 is feasible)", seed, s.Status)
+		}
+		if s.Iterations > refactorEvery {
+			refactorized++
+		}
+		if !feasibleAt(p, s.X, FeasCheckTol) {
+			t.Errorf("seed %d: solution infeasible", seed)
+		}
+		bound := 0.0
+		for i, c := range p.cons {
+			if (c.sense == LE && s.Y[i] < -SolutionTol) || (c.sense == GE && s.Y[i] > SolutionTol) {
+				t.Errorf("seed %d: row %d (%v) has dual %v of the wrong sign", seed, i, c.sense, s.Y[i])
+			}
+			bound += s.Y[i] * c.rhs
+		}
+		for _, rc := range s.ReducedCost {
+			bound += math.Max(rc, 0) * hi
+		}
+		if math.Abs(s.Objective-bound) > ObjectiveRelTol*(1+math.Abs(s.Objective)) {
+			t.Errorf("seed %d: objective %v, dual bound %v", seed, s.Objective, bound)
+		}
+	}
+	if refactorized == 0 {
+		t.Fatalf("no solve took more than %d pivots; refactorization went untested", refactorEvery)
+	}
+}

@@ -47,8 +47,9 @@ type Options struct {
 	Tol float64
 	// FeasTol is the phase-1 feasibility tolerance. 0 selects 1e-7.
 	FeasTol float64
-	// Budget, when non-nil, is charged one work unit per simplex pivot
-	// and can stop the solve cooperatively. Unlike MaxIterations (which
+	// Budget, when non-nil, is charged one work unit per pricing pass
+	// (every pivot, plus the closing pass of each phase) and can stop the
+	// solve cooperatively. Unlike MaxIterations (which
 	// terminates with Status IterationLimit), a budget stop is returned
 	// as a typed error wrapping one of the budget sentinels, so callers
 	// can tell bounded truncation from caller cancellation.
@@ -107,8 +108,8 @@ type column struct {
 	sign float64 // +1 for x⁺ part, -1 for x⁻ part
 }
 
-// Solve runs two-phase primal simplex and returns the solution. An error is
-// returned only for structurally invalid problems or a tripped
+// Solve runs a two-phase revised primal simplex and returns the solution.
+// An error is returned only for structurally invalid problems or a tripped
 // Options.Budget (a typed budget stop; match with budget.IsStop);
 // infeasibility and unboundedness are reported through Solution.Status.
 //
@@ -150,44 +151,44 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	nStruct := len(cols)
 
-	// Rows: user constraints plus internal upper-bound rows.
-	type row struct {
-		coefs []float64 // dense over structural columns
-		sense Sense
-		rhs   float64
+	// Rows: user constraints plus one internal row per finite upper
+	// bound. A row keeps only its sense and rhs; entries(i, visit) walks
+	// its structural coefficients, which go straight into the
+	// column-major matrix below.
+	var ubVar []VarID
+	for j, v := range p.vars {
+		if !math.IsInf(v.hi, 1) {
+			ubVar = append(ubVar, VarID(j))
+		}
 	}
-	var rows []row
-	for _, c := range p.cons {
-		r := row{coefs: make([]float64, nStruct), sense: c.sense, rhs: c.rhs}
-		for _, t := range c.terms {
-			j := t.Var
-			ci := colOf[j]
-			r.coefs[ci] += t.Coef
-			if math.IsInf(p.vars[j].lo, -1) {
-				r.coefs[ci+1] -= t.Coef
-			} else {
-				r.rhs -= t.Coef * shift[j]
+	m := len(p.cons) + len(ubVar)
+	entries := func(i int, visit func(col int, a float64)) {
+		term := func(v VarID, a float64) {
+			visit(colOf[v], a)
+			if math.IsInf(p.vars[v].lo, -1) {
+				visit(colOf[v]+1, -a)
 			}
 		}
-		rows = append(rows, r)
-	}
-	for j, v := range p.vars {
-		if math.IsInf(v.hi, 1) {
-			continue
+		if i < len(p.cons) {
+			for _, t := range p.cons[i].terms {
+				term(t.Var, t.Coef)
+			}
+			return
 		}
-		r := row{coefs: make([]float64, nStruct), sense: LE}
-		ci := colOf[j]
-		r.coefs[ci] = 1
-		if math.IsInf(v.lo, -1) {
-			r.coefs[ci+1] = -1
-			r.rhs = v.hi
-		} else {
-			r.rhs = v.hi - v.lo
-		}
-		rows = append(rows, r)
+		term(ubVar[i-len(p.cons)], 1)
 	}
-
-	m := len(rows)
+	sense := make([]Sense, m)
+	rhs := make([]float64, m)
+	for i, c := range p.cons {
+		sense[i], rhs[i] = c.sense, c.rhs
+		for _, t := range c.terms {
+			rhs[i] -= t.Coef * shift[t.Var]
+		}
+	}
+	for k, v := range ubVar {
+		i := len(p.cons) + k
+		sense[i], rhs[i] = LE, p.vars[v].hi-shift[v]
+	}
 	opt := opts.withDefaults(m, nStruct)
 
 	// Normalize to b ≥ 0 and count auxiliary columns. flip remembers which
@@ -195,21 +196,18 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	// row orientation after the solve.
 	flip := make([]bool, m)
 	nSlack, nArt := 0, 0
-	for i := range rows {
-		if rows[i].rhs < 0 {
+	for i := range rhs {
+		if rhs[i] < 0 {
 			flip[i] = true
-			for k := range rows[i].coefs {
-				rows[i].coefs[k] = -rows[i].coefs[k]
-			}
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].sense {
+			rhs[i] = -rhs[i]
+			switch sense[i] {
 			case LE:
-				rows[i].sense = GE
+				sense[i] = GE
 			case GE:
-				rows[i].sense = LE
+				sense[i] = LE
 			}
 		}
-		switch rows[i].sense {
+		switch sense[i] {
 		case LE:
 			nSlack++
 		case GE:
@@ -220,69 +218,73 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		}
 	}
 
-	n := nStruct + nSlack + nArt // total columns (rhs stored separately)
-	t := &tableau{
-		m:      m,
-		n:      n,
-		artLo:  n - nArt,
-		stride: n + 1,
-		a:      make([]float64, m*(n+1)),
-		basis:  make([]int, m),
-		cost:   make([]float64, n+1),
-		tol:    opt.Tol,
+	n := nStruct + nSlack + nArt
+	// start counts each structural column's entries one slot up, so its
+	// prefix sum gives the column starts; it then serves as the fill
+	// cursor. Rows are filled in order, so each column's entries come out
+	// in ascending row order.
+	start := make([]int, nStruct+1)
+	for i := 0; i < m; i++ {
+		entries(i, func(col int, _ float64) { start[col+1]++ })
 	}
-	// idCol[i] is the identity column of row i — the auxiliary column
-	// (slack for LE, artificial for GE/EQ) whose only nonzero entry is a
-	// +1 in row i and whose phase-2 objective coefficient is zero. At
-	// phase-2 optimality, -cost[idCol[i]] is therefore exactly the
-	// internal dual value of row i.
-	idCol := make([]int, m)
-	slackAt, artAt := nStruct, nStruct+nSlack
-	for i, r := range rows {
-		base := i * t.stride
-		copy(t.a[base:base+nStruct], r.coefs)
-		t.a[base+n] = r.rhs
-		switch r.sense {
+	for j := 1; j <= nStruct; j++ {
+		start[j] += start[j-1]
+	}
+	nnzStruct := start[nStruct]
+	s := newSimplex(m, n, nStruct+nSlack, nnzStruct+nSlack+nArt, opt.Tol)
+	copy(s.rhs, rhs)
+	copy(s.colStart, start)
+	for i := 0; i < m; i++ {
+		entries(i, func(col int, a float64) {
+			if flip[i] {
+				a = -a
+			}
+			k := start[col]
+			start[col]++
+			s.rowIdx[k], s.val[k] = int32(i), a
+		})
+	}
+
+	// Auxiliary columns, one entry each: a slack (+1) for each LE row, a
+	// surplus (−1) and an artificial (+1) for each GE row, an artificial
+	// for each EQ row. The starting basis is the +1 column of every row,
+	// the identity matrix.
+	for j := nStruct; j <= n; j++ {
+		s.colStart[j] = nnzStruct + j - nStruct
+	}
+	aux := func(col, row int, a float64) {
+		k := s.colStart[col]
+		s.rowIdx[k], s.val[k] = int32(row), a
+	}
+	slackAt, artAt := nStruct, s.artLo
+	for i := range sense {
+		switch sense[i] {
 		case LE:
-			t.a[base+slackAt] = 1
-			t.basis[i] = slackAt
-			idCol[i] = slackAt
+			aux(slackAt, i, 1)
+			s.setBasic(i, slackAt)
 			slackAt++
 		case GE:
-			t.a[base+slackAt] = -1
+			aux(slackAt, i, -1)
 			slackAt++
-			t.a[base+artAt] = 1
-			t.basis[i] = artAt
-			idCol[i] = artAt
+			aux(artAt, i, 1)
+			s.setBasic(i, artAt)
 			artAt++
 		case EQ:
-			t.a[base+artAt] = 1
-			t.basis[i] = artAt
-			idCol[i] = artAt
+			aux(artAt, i, 1)
+			s.setBasic(i, artAt)
 			artAt++
 		}
 	}
+	copy(s.xB, rhs)
 
 	sol := &Solution{X: make([]float64, len(p.vars))}
 
 	// Phase 1: minimize the sum of artificial variables.
 	if nArt > 0 {
-		for j := 0; j <= n; j++ {
-			var s float64
-			for i := 0; i < m; i++ {
-				if t.basis[i] >= t.artLo {
-					s += t.a[i*t.stride+j]
-				}
-			}
-			t.cost[j] = -s
+		for j := s.artLo; j < n; j++ {
+			s.cost[j] = 1
 		}
-		// Artificial columns themselves have phase-1 cost 1; their reduced
-		// cost is 1 - (column sum over artificial-basic rows). For the
-		// identity artificial columns this is exactly 0.
-		for j := t.artLo; j < n; j++ {
-			t.cost[j] += 1
-		}
-		st, err := t.iterate(&sol.Iterations, opt, true)
+		st, err := s.iterate(&sol.Iterations, opt, true)
 		if err != nil {
 			return nil, err
 		}
@@ -290,39 +292,23 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			sol.Status = IterationLimit
 			return sol, nil
 		}
-		if -t.cost[n] > opt.FeasTol { // phase-1 objective = -cost[n]
+		if s.basicCost() > opt.FeasTol {
 			sol.Status = Infeasible
 			return sol, nil
 		}
-		t.expelArtificials()
+		s.expelArtificials()
 	}
 
-	// Phase 2: original objective. Build reduced costs from the current
-	// basis: cost[j] = c_j − Σ_i c_{basis(i)}·T[i][j].
+	// Phase 2: original objective, artificials barred from entering.
 	sign := 1.0
 	if p.dir == Maximize {
 		sign = -1
 	}
-	structCost := func(j int) float64 {
-		if j >= nStruct {
-			return 0
-		}
-		return sign * p.vars[cols[j].orig].obj * cols[j].sign
+	clear(s.cost)
+	for j, c := range cols {
+		s.cost[j] = sign * p.vars[c.orig].obj * c.sign
 	}
-	for j := 0; j <= n; j++ {
-		c := 0.0
-		if j < n {
-			c = structCost(j)
-		}
-		for i := 0; i < m; i++ {
-			if cb := structCost(t.basis[i]); cb != 0 {
-				c -= cb * t.a[i*t.stride+j]
-			}
-		}
-		t.cost[j] = c
-	}
-
-	st, err := t.iterate(&sol.Iterations, opt, false)
+	st, err := s.iterate(&sol.Iterations, opt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -334,12 +320,11 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 
 	// Extract the solution, mapping columns back through shifts and splits.
 	colVal := make([]float64, n)
-	for i := 0; i < m; i++ {
-		v := t.a[i*t.stride+n]
+	for r, v := range s.xB {
 		if v < 0 && v > -opt.FeasTol {
 			v = 0
 		}
-		colVal[t.basis[i]] = v
+		colVal[s.basis[r]] = v
 	}
 	for j := range p.vars {
 		x := shift[j]
@@ -357,26 +342,18 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	sol.Objective = obj
 	sol.Status = Optimal
-	// Dual extraction. After phase 2, cost[idCol[i]] is the reduced cost
-	// of row i's identity column; since that column is a unit vector with
-	// zero objective coefficient, its reduced cost is −ŷ_i, the internal
-	// (minimization-form, b≥0-normalized) dual of row i. Map back to the
-	// problem's orientation: undo the row flip (σ = −1 if the row was
-	// negated) and the min/max sign. Only the first len(p.cons) rows are
-	// user constraints — the trailing upper-bound rows stay internal.
-	//
-	// This holds for EVERY row, including rows zeroed as redundant by
-	// expelArtificials: pivots keep the whole cost row of the form
-	// cost[j] = c_j − φ(A_j) for one linear functional φ, so reading φ at
-	// the identity columns recovers a dual vector that satisfies the same
-	// identities the simplex exit test guarantees for structural columns.
-	// A numerically-redundant row can carry a genuinely nonzero dual
-	// weight this way (the basis may express an active row's multiplier
-	// through the dependent one); forcing it to 0 would break the
-	// reduced-cost identity on instances with near-dependent rows.
+	// Dual extraction. The last pricing pass left y = c_Bᵀ B⁻¹ from BTRAN:
+	// the internal (minimization-form, b≥0-normalized) duals that the exit
+	// test checked every c_j − yᵀa_j ≥ −tol against. A redundant row's
+	// dead artificial costs 0, so its dual is whatever weight the basis
+	// gives it; forcing it to 0 would break the reduced-cost identity on
+	// near-dependent rows. Map back to the problem's orientation: undo the
+	// row flip (σ = −1 if the row was negated) and the min/max sign. Only
+	// the first len(p.cons) rows are user constraints — the trailing
+	// upper-bound rows stay internal.
 	sol.Y = make([]float64, len(p.cons))
 	for i := range p.cons {
-		yhat := -t.cost[idCol[i]]
+		yhat := s.y[i]
 		if flip[i] {
 			yhat = -yhat
 		}
@@ -398,33 +375,97 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-// tableau is a dense simplex tableau. Row i occupies
-// a[i*stride : i*stride+n+1] with the rhs in the final slot; cost is the
-// reduced-cost row with the negated objective value in cost[n].
-type tableau struct {
-	m, n   int
-	artLo  int // columns ≥ artLo are artificial
-	stride int
-	a      []float64
-	basis  []int
-	cost   []float64
-	tol    float64
+// refactorEvery is the number of basis changes after which the eta file
+// is dropped and the basis factorized afresh. Each change appends one eta
+// as long as the FTRAN'd entering column, so BTRAN and FTRAN slow down as
+// the file grows; refactorizing also resets the basic values from
+// B⁻¹b, shedding the rounding the incremental updates accumulated.
+const refactorEvery = 64
+
+// simplex is the working state of a revised simplex solve over the
+// b ≥ 0 normalized standard form  min cᵀx, Ax = b, x ≥ 0. Columns
+// [0, artLo) are structural then slack/surplus; [artLo, n) are
+// artificial. A is stored by columns and never changes; the basis lives
+// in lu as a product-form factorization of B⁻¹.
+type simplex struct {
+	m, n  int
+	artLo int
+	tol   float64
+
+	// Column j's entries are rowIdx/val[colStart[j]:colStart[j+1]], in
+	// ascending row order.
+	colStart []int
+	rowIdx   []int32
+	val      []float64
+	rhs      []float64
+
+	cost   []float64 // the current phase's objective, by column
+	basis  []int     // basis[r]: the column basic in slot r
+	slotOf []int     // slotOf[j]: column j's slot, or −1 when nonbasic
+	dead   []bool    // artificials left basic in rows found redundant
+	xB     []float64 // basic values, by slot
+
+	lu, spare factor
+	re        reinversion
+	y, alpha  []float64 // BTRAN and FTRAN results
+}
+
+func newSimplex(m, n, artLo, nnz int, tol float64) *simplex {
+	s := &simplex{
+		m: m, n: n, artLo: artLo, tol: tol,
+		colStart: make([]int, n+1),
+		rowIdx:   make([]int32, nnz),
+		val:      make([]float64, nnz),
+		rhs:      make([]float64, m),
+		cost:     make([]float64, n),
+		basis:    make([]int, m),
+		slotOf:   make([]int, n),
+		dead:     make([]bool, n),
+		xB:       make([]float64, m),
+		y:        make([]float64, m),
+		alpha:    make([]float64, m),
+	}
+	for j := range s.slotOf {
+		s.slotOf[j] = -1
+	}
+	return s
+}
+
+func (s *simplex) setBasic(r, j int) {
+	if old := s.basis[r]; s.slotOf[old] == r {
+		s.slotOf[old] = -1
+	}
+	s.basis[r] = j
+	s.slotOf[j] = r
+}
+
+// basicCost is c_Bᵀ x_B at the current basis.
+func (s *simplex) basicCost() float64 {
+	var c float64
+	for r, v := range s.xB {
+		if cb := s.cost[s.basis[r]]; cb != 0 {
+			c += cb * v
+		}
+	}
+	return c
 }
 
 // iterate pivots until optimality, unboundedness, the iteration budget is
-// exhausted, or opt.Budget trips (returned as the error). phase1 permits
+// exhausted, or opt.Budget trips (returned as the error). Each pass
+// computes the duals by BTRAN, prices every nonbasic column against them,
+// and FTRANs the entering column for the ratio test. phase1 permits
 // artificial columns to enter (they never improve phase-1 cost, but keeping
 // the rule uniform is harmless); in phase 2 they are barred. Dantzig's rule
 // is used until the objective stalls for 2*(m+n)+20 consecutive pivots,
 // after which Bland's rule guarantees termination.
-func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) {
-	stallLimit := 2*(t.m+t.n) + 20
+func (s *simplex) iterate(iters *int, opt Options, phase1 bool) (Status, error) {
+	stallLimit := 2*(s.m+s.n) + 20
 	stall := 0
-	lastObj := math.Inf(1)
+	obj, lastObj := s.basicCost(), math.Inf(1)
 	bland := false
-	enterLimit := t.n
+	enterLimit := s.n
 	if !phase1 {
-		enterLimit = t.artLo
+		enterLimit = s.artLo
 	}
 	for {
 		if *iters >= opt.MaxIterations {
@@ -433,51 +474,24 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 		if err := opt.Budget.Charge(1); err != nil {
 			return IterationLimit, err
 		}
-		// Entering column.
-		enter := -1
-		if bland {
-			for j := 0; j < enterLimit; j++ {
-				if t.cost[j] < -t.tol {
-					enter = j
-					break
-				}
-			}
-		} else {
-			best := -t.tol
-			for j := 0; j < enterLimit; j++ {
-				if t.cost[j] < best {
-					best = t.cost[j]
-					enter = j
-				}
-			}
+		for r, j := range s.basis {
+			s.y[r] = s.cost[j]
 		}
+		s.lu.btran(s.y)
+		enter, d := s.price(enterLimit, bland)
 		if enter < 0 {
 			return Optimal, nil
 		}
-		// Ratio test; ties broken by smallest basis index (lexicographic-ish
-		// anti-cycling helper).
-		leave := -1
-		var minRatio float64
-		for i := 0; i < t.m; i++ {
-			aij := t.a[i*t.stride+enter]
-			if aij <= t.tol {
-				continue
-			}
-			r := t.a[i*t.stride+t.n] / aij
-			if leave < 0 || r < minRatio-t.tol ||
-				(r < minRatio+t.tol && t.basis[i] < t.basis[leave]) {
-				leave = i
-				minRatio = r
-			}
-		}
+		s.ftranColumn(enter)
+		leave := s.ratioTest()
 		if leave < 0 {
 			return Unbounded, nil
 		}
-		t.pivot(leave, enter)
+		theta := s.pivot(leave, enter)
 		*iters++
 
-		obj := -t.cost[t.n]
-		if obj < lastObj-t.tol {
+		obj += d * theta
+		if obj < lastObj-s.tol {
 			lastObj = obj
 			stall = 0
 		} else {
@@ -489,68 +503,109 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 	}
 }
 
-// pivot makes column enter basic in row leave by Gauss–Jordan elimination.
-func (t *tableau) pivot(leave, enter int) {
-	base := leave * t.stride
-	pv := t.a[base+enter]
-	inv := 1 / pv
-	prow := t.a[base : base+t.n+1]
-	for j := range prow {
-		prow[j] *= inv
-	}
-	prow[enter] = 1 // exact
-	for i := 0; i < t.m; i++ {
-		if i == leave {
+// price returns the entering column among the nonbasic columns below
+// limit and its reduced cost c_j − yᵀa_j, or −1 when none is below −tol.
+// Dantzig's rule takes the most negative, the lowest index on ties;
+// Bland's rule takes the first.
+func (s *simplex) price(limit int, bland bool) (int, float64) {
+	enter, best := -1, -s.tol
+	for j := 0; j < limit; j++ {
+		if s.slotOf[j] >= 0 {
 			continue
 		}
-		rbase := i * t.stride
-		f := t.a[rbase+enter]
-		if f == 0 {
-			continue
+		d := s.cost[j]
+		for k := s.colStart[j]; k < s.colStart[j+1]; k++ {
+			d -= s.y[s.rowIdx[k]] * s.val[k]
 		}
-		row := t.a[rbase : rbase+t.n+1]
-		for j := range row {
-			row[j] -= f * prow[j]
-		}
-		row[enter] = 0 // exact
-	}
-	f := t.cost[enter]
-	if f != 0 {
-		for j := range t.cost {
-			t.cost[j] -= f * prow[j]
-		}
-		t.cost[enter] = 0
-	}
-	t.basis[leave] = enter
-}
-
-// expelArtificials pivots basic artificial variables out of the basis after
-// phase 1. Rows where no non-artificial pivot exists are redundant and are
-// zeroed so they can never bind again.
-func (t *tableau) expelArtificials() {
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.artLo {
-			continue
-		}
-		base := i * t.stride
-		pivotCol := -1
-		for j := 0; j < t.artLo; j++ {
-			if math.Abs(t.a[base+j]) > t.tol {
-				pivotCol = j
+		if d < best {
+			enter, best = j, d
+			if bland {
 				break
 			}
 		}
-		if pivotCol >= 0 {
-			t.pivot(i, pivotCol)
+	}
+	return enter, best
+}
+
+// ftranColumn sets alpha = B⁻¹a_j.
+func (s *simplex) ftranColumn(j int) {
+	clear(s.alpha)
+	for k := s.colStart[j]; k < s.colStart[j+1]; k++ {
+		s.alpha[s.rowIdx[k]] = s.val[k]
+	}
+	s.lu.ftran(s.alpha)
+}
+
+// ratioTest returns the slot that leaves when alpha's column enters, or −1
+// when no entry of alpha is positive. Ties are broken by the smallest
+// basic column index. Redundant rows never take part.
+func (s *simplex) ratioTest() int {
+	leave := -1
+	var minRatio float64
+	for i, a := range s.alpha {
+		if a <= s.tol || s.dead[s.basis[i]] {
 			continue
 		}
-		// Redundant row (the artificial is basic at value ~0 and the row is
-		// numerically zero over real columns): clear it.
-		for j := 0; j <= t.n; j++ {
-			t.a[base+j] = 0
+		r := s.xB[i] / a
+		if leave < 0 || r < minRatio-s.tol ||
+			(r < minRatio+s.tol && s.basis[i] < s.basis[leave]) {
+			leave = i
+			minRatio = r
 		}
-		// Keep the artificial basic in the zero row; since artificial
-		// columns are barred from entering in phase 2 and the row is zero,
-		// it never affects ratio tests.
+	}
+	return leave
+}
+
+// pivot makes column enter basic in slot leave, alpha holding B⁻¹a_enter,
+// and returns the entering value.
+func (s *simplex) pivot(leave, enter int) float64 {
+	theta := s.xB[leave] * (1 / s.alpha[leave])
+	for i, a := range s.alpha {
+		if a != 0 && i != leave && !s.dead[s.basis[i]] {
+			s.xB[i] -= a * theta
+		}
+	}
+	s.xB[leave] = theta
+	s.setBasic(leave, enter)
+	s.lu.push(leave, s.alpha)
+	if len(s.lu.etas)-s.lu.fresh >= refactorEvery {
+		s.refactor()
+	}
+	return theta
+}
+
+// expelArtificials pivots basic artificial variables out of the basis after
+// phase 1. A row where no non-artificial column has a nonzero entry of
+// B⁻¹A is redundant: its artificial stays basic at zero, marked dead, and
+// never takes part in a ratio test again.
+func (s *simplex) expelArtificials() {
+	for q := s.artLo; q < s.n; q++ {
+		r := s.slotOf[q]
+		if r < 0 {
+			continue
+		}
+		clear(s.y)
+		s.y[r] = 1
+		s.lu.btran(s.y) // row r of B⁻¹
+		enter := -1
+		for j := 0; j < s.artLo && enter < 0; j++ {
+			if s.slotOf[j] >= 0 {
+				continue
+			}
+			var a float64
+			for k := s.colStart[j]; k < s.colStart[j+1]; k++ {
+				a += s.y[s.rowIdx[k]] * s.val[k]
+			}
+			if math.Abs(a) > s.tol {
+				enter = j
+			}
+		}
+		if enter < 0 {
+			s.dead[q] = true
+			s.xB[r] = 0
+			continue
+		}
+		s.ftranColumn(enter)
+		s.pivot(r, enter)
 	}
 }

@@ -39,7 +39,7 @@ func TestPlanHashesPinned(t *testing.T) {
 		{"glycomics", assays.GlycomicsSource, []uint32{0xd6cb3814}},
 		{"enzyme2", assays.EnzymeSource(2), []uint32{0xcc809212}},
 		{"enzyme3", assays.EnzymeSource(3), []uint32{0xc000bba8}},
-		{"enzyme4", assays.EnzymeSource(4), []uint32{0xe8240821}},
+		{"enzyme4", assays.EnzymeSource(4), []uint32{0xb1dca532}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
