@@ -69,6 +69,14 @@ go run ./cmd/fluidvm -faults moderate -seed 42 -recover -trace testdata/glucose.
 cmp "$tmp/run1.out" "$tmp/run2.out"
 
 echo "== durable execution: crash + resume =="
+# The E12 matrix kills every shipped assay at every instruction boundary
+# and resumes it through the same snapshot ladder fluidvm -resume uses.
+# The table is seeded and timing-free, so two runs must agree byte for
+# byte.
+go build -o "$tmp/volbench" ./cmd/volbench
+"$tmp/volbench" -experiment durability >"$tmp/durable1.out"
+"$tmp/volbench" -experiment durability >"$tmp/durable2.out"
+cmp "$tmp/durable1.out" "$tmp/durable2.out"
 # A journaled run killed mid-flight must resume from its write-ahead
 # journal to stdout byte-identical to the uninterrupted run's, and a
 # journal with a torn tail must recover instead of failing.
@@ -85,6 +93,12 @@ head -c $((size - 5)) "$tmp/crash.aqj" >"$tmp/torn.aqj"
 cmp "$tmp/ref.out" "$tmp/torn.out"
 
 echo "== adaptive replanning: determinism + crash at a replan boundary =="
+# The E13 Monte-Carlo (replan vs regen vs retry-only, with a crash and
+# resume at each replanned run's first replan boundary) is seeded and
+# timing-free: two runs must agree byte for byte.
+"$tmp/volbench" -experiment replan >"$tmp/e13-1.out"
+"$tmp/volbench" -experiment replan >"$tmp/e13-2.out"
+cmp "$tmp/e13-1.out" "$tmp/e13-2.out"
 # Replanning re-solves the residual DAG around measured volumes. The
 # same seed must patch the plan identically twice, and a crash landing
 # inside the replanned region must resume to byte-identical output —
@@ -113,7 +127,6 @@ echo "== storage-fault robustness (E14) =="
 # clean completion, refused journal creation, or a fail-stop abort whose
 # salvaged journal resumes bit-identical. The table is seeded and
 # timing-free, so two runs must agree byte for byte.
-go build -o "$tmp/volbench" ./cmd/volbench
 "$tmp/volbench" -experiment storage-chaos >"$tmp/chaos1.out"
 "$tmp/volbench" -experiment storage-chaos >"$tmp/chaos2.out"
 cmp "$tmp/chaos1.out" "$tmp/chaos2.out"

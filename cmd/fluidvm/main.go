@@ -177,45 +177,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Build the program and machine.
-	mcfg := aquacore.Config{SeparationYield: *yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}
-	var (
-		prog     *ais.Program
-		comp     *recovery.Compiled
-		m        *aquacore.Machine
-		name     string
-		certHash uint32
-	)
-	if *aisFile != "" {
-		name = *aisFile
-		prog, m, err = buildShipped(*aisFile, *volFile, mcfg)
-	} else {
+	name := *aisFile
+	if name == "" {
 		if fs.NArg() != 1 {
 			fmt.Fprintln(stderr, "usage: fluidvm [flags] assay.asy")
 			return exitUsage
 		}
 		name = fs.Arg(0)
-		var c *pipeline.Compiled
-		if c, err = compileFile(name, *margin, *noCertify, meter); err == nil {
-			prog, comp, certHash = c.Code.Prog, c.Recovery(), c.CertHash
-			m, err = c.NewMachine(mcfg)
-		}
+	}
+	x, err := load(name, *aisFile != "", *volFile, *margin, *noCertify, meter)
+	var m *aquacore.Machine
+	if err == nil {
+		m, err = x.newMachine(aquacore.Config{SeparationYield: *yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter})
 	}
 	if err != nil {
-		// A budget/deadline trip during planning (vnorm sweeps, LP pivots,
-		// ILP nodes) is a bounded stop, not a compile error.
-		if budget.IsStop(err) {
-			fmt.Fprintln(stderr, "fluidvm:", err)
-			return exitCancelled
-		}
-		// A certification failure is a refused plan, not a broken build:
-		// its own exit code so scripts can tell "the checker said no"
-		// from a compile error.
-		if errors.Is(err, certify.ErrCertificate) {
-			fmt.Fprintln(stderr, "fluidvm:", err)
-			return exitCertFailed
-		}
 		return fail(stderr, err)
 	}
+	prog := x.prog
 
 	if *journalPath != "" {
 		jw, jf, jerr := journal.Create(fsys, *journalPath, *forceJournal)
@@ -231,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Margin: *margin, Yield: *yield,
 			Retries: *retries, SnapshotEvery: *snapEvery,
 			Replan:   *replan,
-			CertHash: certHash,
+			CertHash: x.certHash,
 		}}); jerr != nil {
 			return fail(stderr, jerr)
 		}
@@ -239,14 +217,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if doRecover {
-		return finish(recovery.Run(m, prog, comp, ropts), stdout, stderr)
+		return finish(recovery.Run(m, prog, x.comp, ropts), stdout, stderr)
 	}
 	res, err := m.Run(prog)
 	if err != nil {
-		if budget.IsStop(err) {
-			fmt.Fprintln(stderr, "fluidvm:", err)
-			return exitCancelled
-		}
 		return fail(stderr, err)
 	}
 	report(stdout, res)
@@ -291,16 +265,23 @@ func buildFS(spec string, seed int64) (vfs.FS, error) {
 // doResume restores a crashed journaled run and continues it to
 // completion, appending to the recovered journal. Configuration comes
 // from the journal's begin record; only the program source (and -trace)
-// come from the command line. The snapshot ladder runs newest-first:
-// when the newest snapshot is unrestorable (poisoned contents behind a
-// valid CRC) the resume falls back to earlier ones, and ultimately to a
-// deterministic restart. Notices go to stderr so stdout stays
+// come from the command line. recovery.Resume walks the snapshot ladder
+// newest-first, down to a deterministic restart, and refuses a journal
+// whose run already ended. Notices go to stderr so stdout stays
 // byte-identical to the uninterrupted run's.
 func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, noCertify bool, meter *budget.Meter,
 	traceFn func(aquacore.TraceEntry), eventFn func(aquacore.Event), stdout, stderr io.Writer) int {
 	resumeFail := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "fluidvm: resume: "+format+"\n", a...)
 		return exitResumeFailed
+	}
+	name := aisFile
+	if name == "" {
+		if len(args) != 1 {
+			fmt.Fprintln(stderr, "usage: fluidvm -resume run.aqj assay.asy")
+			return exitUsage
+		}
+		name = args[0]
 	}
 	recs, tail, w, f, err := journal.OpenAppend(fsys, path)
 	if err != nil {
@@ -315,56 +296,15 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 		return resumeFail("journal does not start with a begin record")
 	}
 	begin := recs[0].Begin
-	if last := recs[len(recs)-1]; last.Kind == journal.KindOutcome {
-		return resumeFail("journal is already closed: run %s after %d boundaries",
-			last.Outcome.Status, last.Outcome.Boundaries)
-	}
 
 	// Rebuild the run exactly as the original invocation configured it.
-	// Each ladder rung needs a fresh machine (Restore refuses a used one),
-	// so construction is a closure; the program and compile artifacts are
-	// deterministic and come from the one compile.
-	if aisFile == "" && len(args) != 1 {
-		fmt.Fprintln(stderr, "usage: fluidvm -resume run.aqj assay.asy")
-		return exitUsage
-	}
-	var (
-		prog     *ais.Program
-		comp     *recovery.Compiled
-		certHash uint32
-		c        *pipeline.Compiled
-	)
-	newMachine := func() (*aquacore.Machine, error) {
-		mcfg := aquacore.Config{SeparationYield: begin.Yield, Trace: traceFn, EventTrace: eventFn, Budget: meter}
-		if begin.Profile.Enabled() {
-			mcfg.Faults = faults.New(begin.Profile, begin.Seed)
-		}
-		if aisFile != "" {
-			p, m, err := buildShipped(aisFile, volFile, mcfg)
-			prog = p
-			return m, err
-		}
-		return c.NewMachine(mcfg)
-	}
-	var firstMachine *aquacore.Machine
-	if aisFile == "" {
-		if c, err = compileFile(args[0], begin.Margin, noCertify, meter); err == nil {
-			prog, comp, certHash = c.Code.Prog, c.Recovery(), c.CertHash
-		}
-	}
-	if err == nil {
-		firstMachine, err = newMachine()
-	}
+	x, err := load(name, aisFile != "", volFile, begin.Margin, noCertify, meter)
 	if err != nil {
-		if errors.Is(err, certify.ErrCertificate) {
-			fmt.Fprintln(stderr, "fluidvm: resume:", err)
-			return exitCertFailed
-		}
 		return fail(stderr, err)
 	}
-	if h := crc32.ChecksumIEEE([]byte(prog.String())); h != begin.Hash || len(prog.Instrs) != begin.Instrs {
+	if h := crc32.ChecksumIEEE([]byte(x.prog.String())); h != begin.Hash || len(x.prog.Instrs) != begin.Instrs {
 		return resumeFail("journal was recorded for a different program (journaled %08x/%d instrs, recompiled %08x/%d)",
-			begin.Hash, begin.Instrs, h, len(prog.Instrs))
+			begin.Hash, begin.Instrs, h, len(x.prog.Instrs))
 	}
 	// Re-verify the certificate: the re-derived (and freshly re-certified)
 	// plan must hash to exactly what the original run certified and
@@ -372,7 +312,7 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 	// plan nobody certified — refuse before touching the machine, leaving
 	// no outcome record so the journal stays crash-evidence.
 	if !noCertify && begin.CertHash != 0 {
-		if err := certify.VerifyHash(certHash, begin.CertHash); err != nil {
+		if err := certify.VerifyHash(x.certHash, begin.CertHash); err != nil {
 			fmt.Fprintln(stderr, "fluidvm: resume:", err)
 			return exitCertFailed
 		}
@@ -388,14 +328,16 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 		Budget:          meter,
 		NoCertify:       noCertify,
 	}
-	snaps := recovery.Snapshots(recs)
-	if len(snaps) == 0 {
-		// Death before the first snapshot frame landed: nothing to
-		// restore, so the resume is a fresh deterministic run.
-		fmt.Fprintln(stderr, "fluidvm: resume: no snapshot in journal; restarting from the beginning")
-		return finish(recovery.Run(firstMachine, prog, comp, ropts), stdout, stderr)
+	// Each ladder rung needs a fresh machine (Restore refuses a used one)
+	// with its own fault injector.
+	newMachine := func() (*aquacore.Machine, error) {
+		mcfg := aquacore.Config{SeparationYield: begin.Yield, Trace: traceFn, EventTrace: eventFn, Budget: meter}
+		if begin.Profile.Enabled() {
+			mcfg.Faults = faults.New(begin.Profile, begin.Seed)
+		}
+		return x.newMachine(mcfg)
 	}
-	out, _, err := recovery.ResumeFallback(newMachine, prog, comp, ropts, snaps,
+	out, _, err := recovery.Resume(newMachine, x.prog, x.comp, ropts, recs,
 		func(s string) { fmt.Fprintf(stderr, "fluidvm: resume: %s\n", s) })
 	if err != nil {
 		return resumeFail("%v", err)
@@ -403,45 +345,54 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 	return finish(out, stdout, stderr)
 }
 
-// compileFile takes an assay source file through the compile pipeline.
-// Unless noCertify, every solved plan passes the independent checker —
-// static plans here, staged partitions through the machine's volume
-// source (including those solved later from measurements) — and the
-// compiled CertHash pins the certified static plan.
-func compileFile(path string, margin float64, noCertify bool, meter *budget.Meter) (*pipeline.Compiled, error) {
-	src, err := os.ReadFile(path)
+// executable is what fluidvm runs: the listing, what the recovery
+// runtime needs from its compile (nil for a shipped listing), the
+// certified static plan's hash, and a factory for fresh machines.
+type executable struct {
+	prog       *ais.Program
+	comp       *recovery.Compiled
+	certHash   uint32
+	newMachine func(aquacore.Config) (*aquacore.Machine, error)
+}
+
+// load builds the executable from name: a shipped (listing, volume
+// table) pair — the artifact fluidc -o/-voltab produces — when shipped,
+// otherwise an assay source taken through the compile pipeline. Unless
+// noCertify, every solved plan passes the independent checker: static
+// plans here, staged partitions through the machine's volume source
+// (including those solved later from measurements). A shipped listing
+// has no source or DAG, so its runs recover with retries only.
+func load(name string, shipped bool, volFile string, margin float64, noCertify bool, meter *budget.Meter) (*executable, error) {
+	src, err := os.ReadFile(name)
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.Compile(string(src), pipeline.Options{Margin: margin, Budget: meter, NoCertify: noCertify})
-}
-
-// buildShipped assembles a compiled (listing, volume table) pair — the
-// artifact fluidc -o/-voltab produces — with no source or DAG available.
-// Recovery is retry-only here: regeneration needs the DAG and cluster map
-// that only a fresh compile carries.
-func buildShipped(aisFile, volFile string, mcfg aquacore.Config) (*ais.Program, *aquacore.Machine, error) {
-	src, err := os.ReadFile(aisFile)
-	if err != nil {
-		return nil, nil, err
+	if !shipped {
+		c, err := pipeline.Compile(string(src), pipeline.Options{Margin: margin, Budget: meter, NoCertify: noCertify})
+		if err != nil {
+			return nil, err
+		}
+		return &executable{prog: c.Code.Prog, comp: c.Recovery(), certHash: c.CertHash, newMachine: c.NewMachine}, nil
 	}
 	prog, err := ais.Assemble(string(src))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	m := aquacore.New(mcfg, nil, nil)
+	var tab ais.VolumeTable
 	if volFile != "" {
 		vsrc, err := os.ReadFile(volFile)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		tab, err := ais.ParseVolumeTable(string(vsrc))
-		if err != nil {
-			return nil, nil, err
+		if tab, err = ais.ParseVolumeTable(string(vsrc)); err != nil {
+			return nil, err
 		}
-		m.SetVolumeTable(tab)
 	}
-	return prog, m, nil
+	return &executable{prog: prog, newMachine: func(mc aquacore.Config) (*aquacore.Machine, error) {
+		m := aquacore.New(mc, nil, nil)
+		m.SetVolumeTable(tab)
+		return m, nil
+	}}, nil
 }
 
 // finish renders a recovered outcome and maps its status to an exit code.
@@ -530,7 +481,18 @@ func eventTo(w io.Writer) func(aquacore.Event) {
 	}
 }
 
+// fail reports err and maps it to an exit code. A budget/deadline trip
+// (vnorm sweeps, LP pivots, ILP nodes, executed instructions) is a
+// bounded stop, and a certification failure a refused plan, not a broken
+// build: each gets its own exit code so scripts can tell them apart.
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "fluidvm:", err)
-	return exitError
+	switch {
+	case budget.IsStop(err):
+		return exitCancelled
+	case errors.Is(err, certify.ErrCertificate):
+		return exitCertFailed
+	default:
+		return exitError
+	}
 }

@@ -90,135 +90,182 @@ func TestJournalCrashResume(t *testing.T) {
 	}
 }
 
-// Resume refuses a program that does not hash-match the journaled one.
-func TestResumeRejectsDifferentProgram(t *testing.T) {
-	dir := t.TempDir()
-	crashPath := filepath.Join(dir, "crash.aqj")
-	if code, _, _ := runCLI(t, "-faults", "moderate", "-seed", "42",
-		"-journal", crashPath, "-crash-at", "3", glucose); code != exitAborted {
-		t.Fatal("setup crash run did not abort")
-	}
-	code, _, errw := runCLI(t, "-resume", crashPath, "../../testdata/glycomics.asy")
-	if code != exitResumeFailed {
-		t.Fatalf("hash-mismatched resume exit %d, want %d", code, exitResumeFailed)
-	}
-	if !strings.Contains(errw, "different program") {
-		t.Errorf("mismatch diagnostic missing: %s", errw)
-	}
-	if code, _, _ := runCLI(t, "-resume", filepath.Join(dir, "missing.aqj"), glucose); code != exitResumeFailed {
-		t.Fatalf("missing journal resume exit %d, want %d", code, exitResumeFailed)
-	}
-}
-
-// Exit code 6 is the proof-carrying-plans contract: a resume whose
-// journal carries a certificate hash that does not match the re-derived
-// (and freshly re-certified) plan refuses to execute a single
-// instruction and appends no outcome record — the journal stays intact
-// as crash evidence. -no-certify is the documented escape hatch.
-func TestResumeRejectsCorruptedCertificate(t *testing.T) {
-	dir := t.TempDir()
-	crashPath := filepath.Join(dir, "crash.aqj")
-	if code, _, _ := runCLI(t, "-faults", "moderate", "-seed", "42",
-		"-journal", crashPath, "-crash-at", "5", glucose); code != exitAborted {
-		t.Fatal("setup crash run did not abort")
-	}
-
-	// Forge a journal identical to the crashed one except for the begin
-	// record's certificate hash (the frame CRCs protect against bit rot,
-	// so the corruption must be re-encoded like an attacker or a buggy
-	// tool would).
-	f, err := os.Open(crashPath)
+// writeJournal encodes recs as a fresh journal at path: the frame CRCs
+// are valid, so any damage in recs is semantic, the way an attacker or a
+// buggy tool would leave it.
+func writeJournal(t *testing.T, path string, recs []*journal.Record) {
+	t.Helper()
+	w, f, err := journal.Create(vfs.OS{}, path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := journal.ReadAll(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].Kind != journal.KindBegin || recs[0].Begin.CertHash == 0 {
-		t.Fatalf("crashed journal has no certificate hash in its begin record: %+v", recs[0])
-	}
-	recs[0].Begin.CertHash ^= 0xdeadbeef
-	forgedPath := filepath.Join(dir, "forged.aqj")
-	w, ff, err := journal.Create(vfs.OS{}, forgedPath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer f.Close()
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ff.Close()
+}
 
-	code, out, errw := runCLI(t, "-resume", forgedPath, glucose)
-	if code != exitCertFailed {
-		t.Fatalf("corrupted-certificate resume exit %d, want %d (stderr: %s)", code, exitCertFailed, errw)
-	}
-	if out != "" {
-		t.Errorf("refused resume produced stdout: %q", out)
-	}
-	if !strings.Contains(errw, "certificate hash mismatch") {
-		t.Errorf("certificate diagnostic missing from stderr: %s", errw)
-	}
-	// No outcome record: the journal is still open, exactly as the crash
-	// left it, so a corrected binary (or -no-certify) can still resume it.
-	f, err = os.Open(forgedPath)
-	if err != nil {
+// writeFile writes b to path.
+func writeFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	after, err := journal.ReadAll(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(recs) {
-		t.Errorf("refused resume changed the journal: %d records, want %d", len(after), len(recs))
-	}
-	for _, r := range after {
-		if r.Kind == journal.KindOutcome {
-			t.Errorf("refused resume left an outcome record: %+v", r.Outcome)
-		}
-	}
-
-	// The escape hatch skips the hash check and completes the run.
-	if code, _, errw := runCLI(t, "-no-certify", "-resume", forgedPath, glucose); code != exitCompleted {
-		t.Fatalf("-no-certify resume exit %d, want %d (stderr: %s)", code, exitCompleted, errw)
 	}
 }
 
-// A resume over a torn journal tail (process died mid-append) reports
-// the truncation on stderr — the reason and how many good bytes
-// survived — and still finishes with the uninterrupted run's exit code
-// and stdout.
-func TestResumeReportsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	refCode, refOut, _ := runCLI(t, "-faults", "moderate", "-seed", "42",
-		"-journal", filepath.Join(dir, "ref.aqj"), glucose)
-
-	crashPath := filepath.Join(dir, "crash.aqj")
-	if code, _, _ := runCLI(t, "-faults", "moderate", "-seed", "42",
-		"-journal", crashPath, "-crash-at", "6", glucose); code != exitAborted {
-		t.Fatal("setup crash run did not abort")
-	}
-	b, err := os.ReadFile(crashPath)
+// readJournal reads every record of the journal at path.
+func readJournal(t *testing.T, path string) []*journal.Record {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(crashPath, b[:len(b)-4], 0o644); err != nil {
+	defer f.Close()
+	recs, err := journal.ReadAll(f)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return recs
+}
 
-	code, out, errw := runCLI(t, "-resume", crashPath, glucose)
-	if code != refCode {
-		t.Fatalf("torn-tail resume exit %d, want %d (stderr: %s)", code, refCode, errw)
+// Every way -resume can go: each case derives a journal from one crashed
+// run (or the uninterrupted reference run's closed journal) and checks
+// the exit code, stdout against the reference run's, and the stderr
+// diagnostics. A resume that finishes must print the uninterrupted
+// run's stdout byte for byte; a refused one prints nothing to stdout.
+func TestResume(t *testing.T) {
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.aqj")
+	refCode, refOut, _ := runCLI(t, "-faults", "moderate", "-seed", "42", "-journal", refPath, glucose)
+	if refCode != exitCompleted {
+		t.Fatalf("reference run exit %d", refCode)
 	}
-	if out != refOut {
-		t.Errorf("torn-tail resume stdout differs from uninterrupted run\n got: %q\nwant: %q", out, refOut)
+	crashPath := filepath.Join(dir, "crash.aqj")
+	if code, _, _ := runCLI(t, "-faults", "moderate", "-seed", "42",
+		"-journal", crashPath, "-crash-at", "5", glucose); code != exitAborted {
+		t.Fatal("setup crash run did not abort")
 	}
-	if !strings.Contains(errw, "recovered journal tail") || !strings.Contains(errw, "good bytes") {
-		t.Errorf("torn-tail warning missing from stderr: %s", errw)
+	crash, err := os.ReadFile(crashPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashRecs := readJournal(t, crashPath)
+	if crashRecs[0].Kind != journal.KindBegin || crashRecs[0].Begin.CertHash == 0 {
+		t.Fatalf("crashed journal has no certificate hash in its begin record: %+v", crashRecs[0])
+	}
+
+	table := []struct {
+		name string
+		// journal writes the journal to resume at path (nil: leave path
+		// missing).
+		journal func(t *testing.T, path string)
+		assay   string
+		code    int
+		// finishes: stdout must equal the reference run's; otherwise
+		// stdout must be empty.
+		finishes bool
+		stderr   []string
+		// after runs extra checks on the journal once the resume returned.
+		after func(t *testing.T, path string)
+	}{
+		{
+			name:     "torn tail",
+			journal:  func(t *testing.T, path string) { writeFile(t, path, crash[:len(crash)-4]) },
+			code:     refCode,
+			finishes: true,
+			stderr:   []string{"recovered journal tail", "good bytes", "resuming at boundary"},
+		},
+		{
+			name:     "begin record only",
+			journal:  func(t *testing.T, path string) { writeJournal(t, path, crashRecs[:1]) },
+			code:     refCode,
+			finishes: true,
+			stderr:   []string{"no snapshot in journal; restarting from the beginning"},
+		},
+		{
+			name: "closed journal",
+			journal: func(t *testing.T, path string) {
+				ref, err := os.ReadFile(refPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeFile(t, path, ref)
+			},
+			code:   exitResumeFailed,
+			stderr: []string{"journal is already closed"},
+		},
+		{
+			name:    "different program",
+			journal: func(t *testing.T, path string) { writeFile(t, path, crash) },
+			assay:   "../../testdata/glycomics.asy",
+			code:    exitResumeFailed,
+			stderr:  []string{"different program"},
+		},
+		{
+			name: "missing journal",
+			code: exitResumeFailed,
+		},
+		{
+			// Exit code 6 is the proof-carrying-plans contract: a journal
+			// whose certificate hash does not match the re-derived (and
+			// freshly re-certified) plan executes nothing and gains no
+			// outcome record, so it stays intact as crash evidence.
+			// -no-certify is the documented escape hatch.
+			name: "corrupted certificate",
+			journal: func(t *testing.T, path string) {
+				forged := *crashRecs[0].Begin
+				forged.CertHash ^= 0xdeadbeef
+				writeJournal(t, path, append([]*journal.Record{{Kind: journal.KindBegin, Begin: &forged}}, crashRecs[1:]...))
+			},
+			code:   exitCertFailed,
+			stderr: []string{"certificate hash mismatch"},
+			after: func(t *testing.T, path string) {
+				after := readJournal(t, path)
+				if len(after) != len(crashRecs) {
+					t.Errorf("refused resume changed the journal: %d records, want %d", len(after), len(crashRecs))
+				}
+				if last := after[len(after)-1]; last.Kind == journal.KindOutcome {
+					t.Errorf("refused resume left an outcome record: %+v", last.Outcome)
+				}
+				if code, _, errw := runCLI(t, "-no-certify", "-resume", path, glucose); code != exitCompleted {
+					t.Fatalf("-no-certify resume exit %d, want %d (stderr: %s)", code, exitCompleted, errw)
+				}
+			},
+		},
+	}
+
+	for _, tt := range table {
+		t.Run(tt.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.aqj")
+			if tt.journal != nil {
+				tt.journal(t, path)
+			}
+			assay := glucose
+			if tt.assay != "" {
+				assay = tt.assay
+			}
+			code, out, errw := runCLI(t, "-resume", path, assay)
+			if code != tt.code {
+				t.Fatalf("exit %d, want %d (stderr: %s)", code, tt.code, errw)
+			}
+			want := ""
+			if tt.finishes {
+				want = refOut
+			}
+			if out != want {
+				t.Errorf("stdout differs\n got: %q\nwant: %q", out, want)
+			}
+			for _, s := range tt.stderr {
+				if !strings.Contains(errw, s) {
+					t.Errorf("stderr lacks %q: %s", s, errw)
+				}
+			}
+			if tt.after != nil {
+				tt.after(t, path)
+			}
+		})
 	}
 }
 

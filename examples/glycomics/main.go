@@ -19,26 +19,22 @@ import (
 
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
-	"aquavol/internal/codegen"
-	"aquavol/internal/core"
-	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
 
 func main() {
-	ep, err := lang.Compile(assays.GlycomicsSource)
+	// The pipeline solves and certifies every partition it can at compile
+	// time; the staged plan records which.
+	c, err := pipeline.Compile(assays.GlycomicsSource, pipeline.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	sp, err := core.NewStagedPlan(ep.Graph, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sp := c.Staged
 
 	fmt.Printf("partitions: %d (paper Fig. 13: 4)\n", sp.NumParts())
 	for _, b := range sp.Partition.Bindings {
 		ci := sp.Partition.Parts[b.Part].Node(b.NodeID)
-		src := ep.Graph.Node(b.SourceID)
+		src := c.Graph.Node(b.SourceID)
 		kind := "static split of input"
 		if b.SourceUnknown {
 			kind = "measured at run time"
@@ -49,34 +45,26 @@ func main() {
 			b.Part, ci.Name, b.Share, sp.Vnorms[b.Part].Node[b.NodeID], src.Name, kind)
 	}
 
-	done, err := sp.SolveStatic()
-	if err != nil {
-		log.Fatal(err)
+	var done []int
+	for i, p := range sp.Plans {
+		if p != nil {
+			done = append(done, i)
+		}
 	}
 	fmt.Printf("solved at compile time: parts %v; the rest wait for measurements\n\n", done)
 
 	// Execute: the machine measures each separation (yield 50% here) and
-	// the StagedSource solves the next partition on the fly.
-	src, err := aquacore.NewStagedSource(sp, nil)
+	// its volume source solves and certifies the next partition on the
+	// fly. A partition that cannot be solved or certified surfaces as a
+	// machine event, so a clean run means every partition was served.
+	m, err := c.NewMachine(aquacore.Config{SeparationYield: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cg, err := codegen.Generate(ep, ep.Graph, codegen.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := aquacore.New(aquacore.Config{SeparationYield: 0.5}, ep.Graph, src)
-	res, err := m.Run(cg.Prog)
+	res, err := m.Run(c.Code.Prog)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulation: %d wet instrs, %.0f s fluidic time, clean=%v\n",
 		res.WetInstrs, res.WetSeconds, res.Clean())
-	for i, p := range src.Plans() {
-		state := "solved"
-		if p == nil {
-			state = "never needed"
-		}
-		fmt.Printf("  part %d: %s\n", i, state)
-	}
 }

@@ -109,6 +109,11 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("Opcode(%d)", int(o))
 }
 
+// ConcentrateYield is the volume fraction a Concentrate instruction
+// leaves in its unit: the one figure the simulator executes and the
+// verifier's interval analysis assumes.
+const ConcentrateYield = 0.5
+
 // IsWet reports whether the instruction occupies the fluidic datapath.
 func (o Opcode) IsWet() bool {
 	switch o {

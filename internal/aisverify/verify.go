@@ -103,9 +103,6 @@ type Options struct {
 	// SeparationYield is the effluent fraction the machine's separations
 	// produce. 0 selects the machine default 0.4.
 	SeparationYield float64
-	// ConcentrateYield is the volume fraction surviving concentration.
-	// 0 selects the machine default 0.5.
-	ConcentrateYield float64
 }
 
 // eps matches the machine's volume tolerance (volTol in aquacore).
@@ -134,9 +131,6 @@ func Verify(p *ais.Program, opts Options) diag.List {
 	}
 	if opts.SeparationYield == 0 {
 		opts.SeparationYield = 0.4
-	}
-	if opts.ConcentrateYield == 0 {
-		opts.ConcentrateYield = 0.5
 	}
 	v := &verifier{
 		prog:  p,
@@ -396,7 +390,7 @@ func (v *verifier) transfer(pc int, st *state, emit emitFn) {
 	case ais.Concentrate:
 		unit := vesselName(in.Operands[0])
 		cur := st.get(unit)
-		st.set(unit, itv{cur.lo * v.opts.ConcentrateYield, cur.hi * v.opts.ConcentrateYield})
+		st.set(unit, itv{cur.lo * ais.ConcentrateYield, cur.hi * ais.ConcentrateYield})
 	case ais.SeparateCE, ais.SeparateSize, ais.SeparateAF, ais.SeparateLC:
 		unit := in.Operands[0].Name
 		if in.Op == ais.SeparateAF || in.Op == ais.SeparateLC {

@@ -25,28 +25,26 @@ import (
 	"aquavol/internal/faults"
 )
 
+// The machine's fixed timing model.
+const (
+	// MoveSeconds is the fluid-transport time of every wet instruction
+	// (move, input, output, and the transport share of the unit ops).
+	MoveSeconds = 1.0
+	// senseSeconds is the sensing time.
+	senseSeconds = 1.0
+	// drySeconds is the electronic time per dry instruction: the paper's
+	// orders-of-magnitude-faster control.
+	drySeconds = 1e-6
+)
+
 // Config parameterizes the machine.
 type Config struct {
 	// Volume carries the capacity and least-count parameters shared with
 	// the volume manager.
 	Volume core.Config
-	// MoveSeconds is the fluid-transport time per wet move/input/output
-	// instruction. 0 selects 1 s.
-	MoveSeconds float64
-	// SenseSeconds is the sensing time. 0 selects 1 s.
-	SenseSeconds float64
-	// DrySeconds is the electronic time per dry instruction. 0 selects
-	// 1 µs (the paper's orders-of-magnitude-faster control).
-	DrySeconds float64
 	// SeparationYield is the effluent fraction separations produce at run
 	// time (the quantity the paper's hardware measures). 0 selects 0.4.
 	SeparationYield float64
-	// ConcentrateYield is the volume fraction surviving concentration.
-	// 0 selects 0.5.
-	ConcentrateYield float64
-	// Sense computes a sensor reading from vessel contents. nil selects
-	// the total volume in nanoliters (deterministic and plan-checkable).
-	Sense func(volume float64, composition map[string]float64, op ais.Opcode) float64
 	// Trace, when non-nil, receives one entry per executed instruction
 	// with the volumes of the instruction's vessels before and after the
 	// step — the concrete replay channel for aisverify findings
@@ -98,20 +96,8 @@ func (c Config) withDefaults() Config {
 	if c.Volume.MaxCapacity == 0 {
 		c.Volume = core.DefaultConfig()
 	}
-	if c.MoveSeconds == 0 {
-		c.MoveSeconds = 1
-	}
-	if c.SenseSeconds == 0 {
-		c.SenseSeconds = 1
-	}
-	if c.DrySeconds == 0 {
-		c.DrySeconds = 1e-6
-	}
 	if c.SeparationYield == 0 {
 		c.SeparationYield = 0.4
-	}
-	if c.ConcentrateYield == 0 {
-		c.ConcentrateYield = 0.5
 	}
 	return c
 }
@@ -437,10 +423,6 @@ func (m *Machine) Patches() ais.VolumeTable {
 // residual re-solve must plan against.
 func (m *Machine) VolumeConfig() core.Config { return m.cfg.Volume }
 
-// MoveSecondsPer reports the configured fluid-transport time per wet
-// instruction, for repair-cost estimates.
-func (m *Machine) MoveSecondsPer() float64 { return m.cfg.MoveSeconds }
-
 // Run executes the program to completion (or the instruction budget) and
 // returns the result.
 func (m *Machine) Run(prog *ais.Program) (*Result, error) {
@@ -730,7 +712,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 	}
 	dry := func() {
 		m.res.DryInstrs++
-		m.res.DrySeconds += cfg.DrySeconds
+		m.res.DrySeconds += drySeconds
 	}
 	argNum := func(i int) float64 {
 		if i < len(in.Operands) && in.Operands[i].Kind == ais.Imm {
@@ -744,8 +726,8 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		dry()
 	case ais.Halt:
 	case ais.Input:
-		wet(cfg.MoveSeconds)
-		attr("transport", cfg.MoveSeconds)
+		wet(MoveSeconds)
+		attr("transport", MoveSeconds)
 		dstName, _ := operandVessel(in.Operands[0])
 		vol := cfg.Volume.MaxCapacity
 		if v, ok := m.patches[pc]; ok {
@@ -772,8 +754,8 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		dst.add(vol, map[string]float64{name: vol})
 		m.res.InputNl += vol
 	case ais.Move, ais.MoveAbs:
-		wet(cfg.MoveSeconds)
-		attr("transport", cfg.MoveSeconds)
+		wet(MoveSeconds)
+		attr("transport", MoveSeconds)
 		dstName, ok := operandVessel(in.Operands[0])
 		if !ok {
 			return false, fmt.Errorf("aquacore: pc %d: bad move destination", pc)
@@ -848,8 +830,8 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			m.event(EventOverflow, pc, in, "%s at %.4g nl exceeds capacity %.4g nl", dstName, dstV.vol, cfg.Volume.MaxCapacity)
 		}
 	case ais.Output:
-		wet(cfg.MoveSeconds)
-		attr("transport", cfg.MoveSeconds)
+		wet(MoveSeconds)
+		attr("transport", MoveSeconds)
 		srcName, ok := operandVessel(in.Operands[1])
 		if !ok {
 			return false, fmt.Errorf("aquacore: pc %d: bad output source", pc)
@@ -894,22 +876,22 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			Port: port, Volume: delivered, Composition: comp,
 		})
 	case ais.Mix:
-		wet(cfg.MoveSeconds + argNum(1))
-		attr("transport", cfg.MoveSeconds)
+		wet(MoveSeconds + argNum(1))
+		attr("transport", MoveSeconds)
 		attr(in.Operands[0].Name, argNum(1))
 		if m.flt != nil && m.flt.Fails() {
 			m.event(EventFUFailure, pc, in, "transient FU failure: %s did not run", in.Operands[0].Name)
 		}
 	case ais.Incubate:
-		wet(cfg.MoveSeconds + argNum(2))
-		attr("transport", cfg.MoveSeconds)
+		wet(MoveSeconds + argNum(2))
+		attr("transport", MoveSeconds)
 		attr(in.Operands[0].Name, argNum(2))
 		if m.flt != nil && m.flt.Fails() {
 			m.event(EventFUFailure, pc, in, "transient FU failure: %s did not run", in.Operands[0].Name)
 		}
 	case ais.Concentrate:
-		wet(cfg.MoveSeconds + argNum(2))
-		attr("transport", cfg.MoveSeconds)
+		wet(MoveSeconds + argNum(2))
+		attr("transport", MoveSeconds)
 		attr(in.Operands[0].Name, argNum(2))
 		if m.flt != nil && m.flt.Fails() {
 			// Nothing concentrated, nothing measured: the sample stays in
@@ -919,15 +901,15 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		}
 		name, _ := operandVessel(in.Operands[0])
 		v := m.vessel(name)
-		kept := v.vol * cfg.ConcentrateYield
+		kept := v.vol * ais.ConcentrateYield
 		v.draw(v.vol - kept)
 		if in.Node >= 0 && m.src != nil {
 			m.measured(in.Node, dag.PortDefault, v.vol)
 			m.noteSolveErrors(pc, in)
 		}
 	case ais.SeparateAF, ais.SeparateLC, ais.SeparateCE, ais.SeparateSize:
-		wet(cfg.MoveSeconds + argNum(1))
-		attr("transport", cfg.MoveSeconds)
+		wet(MoveSeconds + argNum(1))
+		attr("transport", MoveSeconds)
 		attr(in.Operands[0].Name, argNum(1))
 		unit := in.Operands[0].Name
 		if m.flt != nil && m.flt.Fails() {
@@ -960,16 +942,13 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			m.noteSolveErrors(pc, in)
 		}
 	case ais.SenseOD, ais.SenseFL:
-		wet(cfg.SenseSeconds)
-		attr(in.Operands[0].Name, cfg.SenseSeconds)
+		wet(senseSeconds)
+		attr(in.Operands[0].Name, senseSeconds)
 		unitName, _ := operandVessel(in.Operands[0])
 		v := m.vessel(unitName)
-		var reading float64
-		if cfg.Sense != nil {
-			reading = cfg.Sense(v.vol, v.comp, in.Op)
-		} else {
-			reading = v.vol
-		}
+		// The reading is the total volume in nanoliters: deterministic
+		// and plan-checkable.
+		reading := v.vol
 		if m.flt != nil {
 			reading = m.flt.Sense(reading)
 		}

@@ -13,7 +13,6 @@ import (
 	"aquavol/internal/core"
 	"aquavol/internal/faults"
 	"aquavol/internal/ilp"
-	"aquavol/internal/journal"
 	"aquavol/internal/lp"
 	recovery "aquavol/internal/recover"
 	"aquavol/internal/vfs"
@@ -202,30 +201,15 @@ func boundedExecCell(ca *compiledAssay, pname string, snapshotEvery int, dir str
 	opts := recovery.Options{SnapshotEvery: snapshotEvery}
 	cell := &BoundedExecCell{Assay: ca.name, Profile: pname}
 
-	runBudgeted := func(meter *budget.Meter, jw *journal.Writer) (*recovery.Outcome, string, error) {
-		m, err := ca.newMachine(p, boundedSeed, meter)
-		if err != nil {
-			return nil, "", err
-		}
-		ropts := opts
-		ropts.Journal = jw
-		ropts.Budget = meter
-		out := recovery.Run(m, ca.Code.Prog, ca.Recovery(), ropts)
-		fp, err := machineFP(m)
-		return out, fp, err
+	budgeted := func(meter *budget.Meter) recovery.Options {
+		o := opts
+		o.Budget = meter
+		return o
 	}
 
-	// Reference: uninterrupted journaled run with a counting meter.
-	refPath := filepath.Join(dir, ca.name+"-"+pname+"-bounded-ref.aqj")
-	jw, f, err := journal.Create(vfs.OS{}, refPath, false)
-	if err != nil {
-		return nil, err
-	}
+	// Reference: uninterrupted, unjournaled run with a counting meter.
 	refMeter := budget.New(0)
-	refOut, want, err := runBudgeted(refMeter, jw)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing reference journal: %w", cerr)
-	}
+	refOut, want, err := ca.runJournaled(nil, "", p, boundedSeed, budgeted(refMeter))
 	if err != nil {
 		return nil, err
 	}
@@ -235,17 +219,12 @@ func boundedExecCell(ca *compiledAssay, pname string, snapshotEvery int, dir str
 	cell.WorkUnits = refMeter.Used()
 
 	// Cancel at a sweep of instruction boundaries; each must fail-stop
-	// (typed cause, no outcome record) and resume bit-identically.
+	// (typed cause, no outcome record) and resume bit-identically. A
+	// journal that gained an outcome record did not fail-stop: resume
+	// refuses it as closed, and the sweep counts it as neither.
 	cancelPath := filepath.Join(dir, ca.name+"-"+pname+"-bounded-cancel.aqj")
 	for _, k := range boundedSweep(cell.WorkUnits, 24) {
-		jw, f, err := journal.Create(vfs.OS{}, cancelPath, true)
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := runBudgeted(budget.New(0).CancelAfter(k), jw)
-		if cerr := f.Close(); cerr != nil && err == nil { //fluidvet:allow syncerr the cancelled journal is crash-equivalent by design
-			err = cerr
-		}
+		out, _, err := ca.runJournaled(vfs.OS{}, cancelPath, p, boundedSeed, budgeted(budget.New(0).CancelAfter(k)))
 		if err != nil {
 			return nil, fmt.Errorf("cancel at %d: %w", k, err)
 		}
@@ -254,30 +233,24 @@ func boundedExecCell(ca *compiledAssay, pname string, snapshotEvery int, dir str
 			return nil, fmt.Errorf("cancel at %d: status %v err %w, want aborted/caller-cancelled",
 				k, out.Status, out.Err)
 		}
-		recs, _, err := journal.Recover(vfs.OS{}, cancelPath)
-		if err != nil {
-			return nil, fmt.Errorf("cancel at %d: recovering journal: %w", k, err)
+		r, err := ca.resumeJournal(cancelPath, p, boundedSeed, opts)
+		if errors.Is(err, recovery.ErrJournalClosed) {
+			continue
 		}
-		outcomeFree := true
-		for _, r := range recs {
-			if r.Kind == journal.KindOutcome {
-				outcomeFree = false
-			}
+		if err == nil {
+			err = r.fromNewest()
 		}
-		if outcomeFree {
-			cell.CleanCancels++
-		}
-		got, err := resumeFromFile(ca, p, boundedSeed, opts, cancelPath)
 		if err != nil {
 			return nil, fmt.Errorf("resume after cancel at %d: %w", k, err)
 		}
-		if got == want {
+		cell.CleanCancels++
+		if r.fp == want {
 			cell.Resumed++
 		}
 	}
 
 	// Exactly U instructions of budget admit the whole run.
-	out, _, err := runBudgeted(budget.New(cell.WorkUnits), nil)
+	out, _, err := ca.runJournaled(nil, "", p, boundedSeed, budgeted(budget.New(cell.WorkUnits)))
 	if err != nil {
 		return nil, err
 	}

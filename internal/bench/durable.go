@@ -90,25 +90,12 @@ func durabilityCell(ca *compiledAssay, pname string, p faults.Profile,
 
 	// Reference: uninterrupted journaled run.
 	refPath := filepath.Join(dir, ca.name+"-"+pname+"-ref.aqj")
-	jw, f, err := journal.Create(vfs.OS{}, refPath, false)
-	if err != nil {
-		return nil, err
-	}
-	refOpts := opts
-	refOpts.Journal = jw
-	refOut, refM, err := ca.runRecovered(p, durabilitySeed, refOpts)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing reference journal: %w", cerr)
-	}
+	refOut, want, err := ca.runJournaled(vfs.OS{}, refPath, p, durabilitySeed, opts)
 	if err != nil {
 		return nil, err
 	}
 	if refOut.Status == recovery.Aborted {
 		return nil, fmt.Errorf("reference run aborted: %w", refOut.Err)
-	}
-	want, err := machineFP(refM)
-	if err != nil {
-		return nil, err
 	}
 	if st, err := os.Stat(refPath); err == nil {
 		cell.JournalBytes = st.Size()
@@ -133,7 +120,9 @@ func durabilityCell(ca *compiledAssay, pname string, p faults.Profile,
 	crashPath := filepath.Join(dir, ca.name+"-"+pname+"-crash.aqj")
 	var midJournal []byte // saved crash journal for the damage cases
 	for k := 0; k < cell.Boundaries; k++ {
-		if err := crashRun(ca, p, durabilitySeed, opts, crashPath, k); err != nil {
+		crashOpts := opts
+		crashOpts.Crash = faults.CrashAt(k)
+		if _, _, err := ca.runJournaled(vfs.OS{}, crashPath, p, durabilitySeed, crashOpts); err != nil {
 			return nil, fmt.Errorf("kill at boundary %d: %w", k, err)
 		}
 		if k == cell.Boundaries/2 {
@@ -142,11 +131,14 @@ func durabilityCell(ca *compiledAssay, pname string, p faults.Profile,
 				return nil, err
 			}
 		}
-		got, err := resumeFromFile(ca, p, durabilitySeed, opts, crashPath)
+		r, err := ca.resumeJournal(crashPath, p, durabilitySeed, opts)
+		if err == nil {
+			err = r.fromNewest()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("resume after kill at boundary %d: %w", k, err)
 		}
-		if got == want {
+		if r.fp == want {
 			cell.Identical++
 		}
 	}
@@ -173,62 +165,16 @@ func durabilityCell(ca *compiledAssay, pname string, p faults.Profile,
 		if err := os.WriteFile(path, d.mutate(midJournal), 0o644); err != nil {
 			return nil, err
 		}
-		got, err := resumeFromFile(ca, p, durabilitySeed, opts, path)
+		r, err := ca.resumeJournal(path, p, durabilitySeed, opts)
+		if err == nil {
+			err = r.fromNewest()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("resume from %s journal: %w", d.name, err)
 		}
-		*d.ok = got == want
+		*d.ok = r.fp == want
 	}
 	return cell, nil
-}
-
-// crashRun executes a journaled run killed at boundary k.
-func crashRun(ca *compiledAssay, p faults.Profile, seed int64, opts recovery.Options, path string, k int) error {
-	jw, f, err := journal.Create(vfs.OS{}, path, true)
-	if err != nil {
-		return err
-	}
-	// The simulated kill leaves the journal tail exactly as a real crash
-	// would; a close failure here cannot make the crash more crashed.
-	defer f.Close() //fluidvet:allow syncerr crash simulation: the torn tail is the scenario under test
-	opts.Journal = jw
-	opts.Crash = faults.CrashAt(k)
-	out, _, err := ca.runRecovered(p, seed, opts)
-	if err != nil {
-		return err
-	}
-	if out.Status != recovery.Aborted {
-		return fmt.Errorf("crash run finished with status %s", out.Status)
-	}
-	return nil
-}
-
-// resumeFromFile recovers a (possibly damaged) journal, resumes from its
-// last good snapshot, and fingerprints the final machine state.
-func resumeFromFile(ca *compiledAssay, p faults.Profile, seed int64, opts recovery.Options, path string) (string, error) {
-	recs, _, w, f, err := journal.OpenAppend(vfs.OS{}, path)
-	if err != nil {
-		return "", err
-	}
-	var snap *journal.Snapshot
-	for _, r := range recs {
-		if r.Kind == journal.KindSnapshot {
-			snap = r.Snapshot
-		}
-	}
-	if snap == nil {
-		f.Close() //fluidvet:allow syncerr error path; nothing was appended yet
-		return "", fmt.Errorf("no snapshot survived in %s", path)
-	}
-	opts.Journal = w
-	_, m, err := ca.resumeRecovered(p, seed, opts, snap)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing resumed journal: %w", cerr)
-	}
-	if err != nil {
-		return "", err
-	}
-	return machineFP(m)
 }
 
 // Durability renders the chaos matrix: the kill-at-every-boundary sweep

@@ -7,6 +7,7 @@ import (
 
 	"aquavol/internal/faults"
 	recovery "aquavol/internal/recover"
+	"aquavol/internal/vfs"
 )
 
 // ReplanStrategies are the repair configurations E13 compares: in-place
@@ -87,7 +88,7 @@ func ReplanOutcomes(seeds int) ([]ReplanCell, error) {
 				cell := ReplanCell{Assay: ca.name, Profile: pname, Strategy: strat.Name}
 				for s := 0; s < seeds; s++ {
 					seed := replanSeed(s)
-					out, m, err := ca.runRecovered(p, seed, strat.Opts)
+					out, want, err := ca.runJournaled(nil, "", p, seed, strat.Opts)
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s/%s seed %d: %w", ca.name, pname, strat.Name, seed, err)
 					}
@@ -107,20 +108,21 @@ func ReplanOutcomes(seeds int) ([]ReplanCell, error) {
 					// Crash-resume audit at the first replan boundary.
 					if out.Status != recovery.Aborted && len(out.ReplanBoundaries) > 0 {
 						cell.ResumeChecks++
-						want, err := machineFP(m)
-						if err != nil {
-							return nil, err
-						}
 						path := filepath.Join(dir, fmt.Sprintf("%s-%s-%d.aqj", ca.name, pname, seed))
-						if err := crashRun(ca, p, seed, strat.Opts, path, out.ReplanBoundaries[0]); err != nil {
+						crashOpts := strat.Opts
+						crashOpts.Crash = faults.CrashAt(out.ReplanBoundaries[0])
+						if _, _, err := ca.runJournaled(vfs.OS{}, path, p, seed, crashOpts); err != nil {
 							return nil, fmt.Errorf("%s/%s seed %d: crash at replan boundary %d: %w",
 								ca.name, pname, seed, out.ReplanBoundaries[0], err)
 						}
-						got, err := resumeFromFile(ca, p, seed, strat.Opts, path)
+						r, err := ca.resumeJournal(path, p, seed, strat.Opts)
+						if err == nil {
+							err = r.fromNewest()
+						}
 						if err != nil {
 							return nil, fmt.Errorf("%s/%s seed %d: resume: %w", ca.name, pname, seed, err)
 						}
-						if got == want {
+						if r.fp == want {
 							cell.ResumeIdentical++
 						}
 					}

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"strings"
 
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
@@ -10,6 +13,7 @@ import (
 	"aquavol/internal/journal"
 	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
+	"aquavol/internal/vfs"
 )
 
 // compiledAssay is a named assay taken through the compile pipeline,
@@ -40,29 +44,108 @@ func (ca *compiledAssay) newMachine(p faults.Profile, seed int64, meter *budget.
 	return ca.NewMachine(mc)
 }
 
-// runRecovered executes one seeded run under the recovery runtime,
-// returning the machine too so callers can fingerprint its final state.
-func (ca *compiledAssay) runRecovered(p faults.Profile, seed int64, opts recovery.Options) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.newMachine(p, seed, nil)
+// errNoJournal wraps a refused journal creation in runJournaled: the
+// run never started, which the E14 matrix counts as an outcome of its
+// own.
+var errNoJournal = errors.New("journal creation refused")
+
+// runJournaled executes one seeded run of ca under the recovery runtime
+// and fingerprints the final machine state. opts.Budget, when set,
+// bounds the machine as well as the loop. A non-empty path journals the
+// run there through fsys, replacing any earlier journal; a run with
+// opts.Crash set must abort.
+//
+// The journal file's close error is not reported: every append is
+// fsynced before it returns, so a failed close loses nothing the run
+// journaled, and under an injected fault it is a strike site the E14
+// matrix classifies, not a harness failure.
+func (ca *compiledAssay) runJournaled(fsys vfs.FS, path string, p faults.Profile, seed int64,
+	opts recovery.Options) (*recovery.Outcome, string, error) {
+	m, err := ca.newMachine(p, seed, opts.Budget)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	return recovery.Run(m, ca.Code.Prog, ca.Recovery(), opts), m, nil
+	if path != "" {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, "", err
+		}
+		jw, f, err := journal.Create(fsys, path, false)
+		if err != nil {
+			return nil, "", fmt.Errorf("%w: %w", errNoJournal, err)
+		}
+		defer f.Close() //fluidvet:allow syncerr every append was already fsynced; a close strike is a classified E14 fault
+		opts.Journal = jw
+	}
+	out := recovery.Run(m, ca.Code.Prog, ca.Recovery(), opts)
+	if opts.Crash != nil && out.Status != recovery.Aborted {
+		return nil, "", fmt.Errorf("crash run finished with status %s", out.Status)
+	}
+	fp, err := machineFP(m)
+	return out, fp, err
 }
 
-// resumeRecovered restores snap onto a fresh machine and continues the
-// run — the bench side of the chaos harness.
-func (ca *compiledAssay) resumeRecovered(p faults.Profile, seed int64, opts recovery.Options,
-	snap *journal.Snapshot) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.newMachine(p, seed, nil)
-	if err != nil {
-		return nil, nil, err
+// resumed is what one harness resume reports.
+type resumed struct {
+	out *recovery.Outcome
+	// fp fingerprints the final machine state.
+	fp string
+	// rung is the snapshot the ladder ran from, nil for a restart.
+	rung *journal.Snapshot
+	// notes are the ladder's rejected-rung and chosen-rung lines.
+	notes []string
+	// newest is the last snapshot in the salvaged journal, nil if none.
+	newest *journal.Snapshot
+}
+
+// fromNewest errors unless the ladder ran from the journal's newest
+// snapshot. Determinism lands an older rung or a restart on the same
+// fingerprint, so a gate that counts only matching fingerprints would
+// pass even with snapshot writing or restoring broken; the gates whose
+// journals always end in a good snapshot (a run writes one at its
+// starting boundary) demand this as well.
+func (r *resumed) fromNewest() error {
+	if r.rung == nil || r.rung != r.newest {
+		return fmt.Errorf("ladder did not resume from the newest snapshot: %s", strings.Join(r.notes, "; "))
 	}
-	out, err := recovery.Resume(m, ca.Code.Prog, ca.Recovery(), opts, snap)
+	return nil
+}
+
+// resumeJournal salvages the journal at path and resumes it with
+// recovery.Resume, appending to the same journal, exactly as fluidvm
+// -resume does. A storage strike can leave a journal that is only its
+// header: nothing is salvageable to append after, so that resume is an
+// unjournaled restart from the beginning.
+func (ca *compiledAssay) resumeJournal(path string, p faults.Profile, seed int64, opts recovery.Options) (*resumed, error) {
+	recs, _, w, f, err := journal.OpenAppend(vfs.OS{}, path)
 	if err != nil {
-		return nil, nil, err
+		var rerr error
+		if recs, _, rerr = journal.Recover(vfs.OS{}, path); rerr != nil || len(recs) > 0 {
+			return nil, err
+		}
+	} else {
+		defer f.Close() //fluidvet:allow syncerr every append was already fsynced
+		opts.Journal = w
 	}
-	return out, m, nil
+	r := &resumed{}
+	for _, rec := range recs {
+		if rec.Kind == journal.KindSnapshot {
+			r.newest = rec.Snapshot
+		}
+	}
+	var m *aquacore.Machine
+	r.out, r.rung, err = recovery.Resume(
+		func() (*aquacore.Machine, error) {
+			mm, merr := ca.newMachine(p, seed, nil)
+			m = mm
+			return mm, merr
+		},
+		ca.Code.Prog, ca.Recovery(), opts, recs,
+		func(s string) { r.notes = append(r.notes, s) })
+	if err != nil {
+		return nil, err
+	}
+	r.fp, err = machineFP(m)
+	return r, err
 }
 
 // robustnessAssays compiles the three paper assays for fault sweeps.
@@ -107,7 +190,7 @@ func Robustness(seeds int) *Table {
 			var completed, degraded, aborted int
 			var retries, regens, loss, wet float64
 			for s := 0; s < seeds; s++ {
-				out, _, err := ca.runRecovered(p, int64(1000*s+7), recovery.Options{})
+				out, _, err := ca.runJournaled(nil, "", p, int64(1000*s+7), recovery.Options{})
 				if err != nil {
 					panic(err)
 				}
@@ -173,7 +256,7 @@ func MarginSweepOutcomes() ([]MarginOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		o, _, err := ca.runRecovered(marginSweepProfile(), 0,
+		o, _, err := ca.runJournaled(nil, "", marginSweepProfile(), 0,
 			recovery.Options{DisableRetry: true, DisableRegen: true})
 		if err != nil {
 			return nil, err

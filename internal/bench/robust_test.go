@@ -22,7 +22,7 @@ func TestModerateProfileAssaysSurvive(t *testing.T) {
 	}
 	for _, ca := range cas {
 		for _, seed := range []int64{7, 1007} {
-			out, _, err := ca.runRecovered(prof, seed, recovery.Options{})
+			out, _, err := ca.runJournaled(nil, "", prof, seed, recovery.Options{})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", ca.name, seed, err)
 			}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
 	"aquavol/internal/faults"
 	"aquavol/internal/journal"
@@ -118,25 +117,12 @@ func storageChaosCell(ca *compiledAssay, seed int64, dir string) (*StorageChaosC
 	// fixes the expected final state and enumerates every I/O site.
 	counter := vfs.NewFaulty(vfs.OS{}, nil, nil)
 	refPath := filepath.Join(dir, ca.name+"-ref.aqj")
-	jw, f, err := journal.Create(counter, refPath, true)
-	if err != nil {
-		return nil, err
-	}
-	refOpts := opts
-	refOpts.Journal = jw
-	refOut, refM, err := ca.runRecovered(p, seed, refOpts)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
+	refOut, want, err := ca.runJournaled(counter, refPath, p, seed, opts)
 	if err != nil {
 		return nil, err
 	}
 	if refOut.Status == recovery.Aborted {
 		return nil, fmt.Errorf("reference run aborted: %w", refOut.Err)
-	}
-	want, err := machineFP(refM)
-	if err != nil {
-		return nil, err
 	}
 	boundaries := 0
 	if recs, _, err := journal.Recover(vfs.OS{}, refPath); err == nil {
@@ -211,12 +197,9 @@ func storageChaosCell(ca *compiledAssay, seed int64, dir string) (*StorageChaosC
 // does not wrap ErrAborted, an unsalvageable journal).
 func (ca *compiledAssay) strikeOutcome(p faults.Profile, seed int64, opts recovery.Options,
 	path string, strike vfs.Strike, want string) (string, error) {
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return "", err
-	}
 	fsys := vfs.NewFaulty(vfs.OS{}, []vfs.Strike{strike}, nil)
-	jw, f, err := journal.Create(fsys, path, false)
-	if err != nil {
+	out, got, err := ca.runJournaled(fsys, path, p, seed, opts)
+	if errors.Is(err, errNoJournal) {
 		// Creation failed loudly: the run never starts journaled. The
 		// atomicity contract says path holds either nothing or a complete
 		// empty journal (the strike hit after the rename) — never a
@@ -226,21 +209,10 @@ func (ca *compiledAssay) strikeOutcome(p faults.Profile, seed int64, opts recove
 		}
 		return chaosNoJournal, nil
 	}
-	ropts := opts
-	ropts.Journal = jw
-	out, m, err := ca.runRecovered(p, seed, ropts)
 	if err != nil {
 		return "", err
 	}
-	// A struck close fires here; the run itself has already finished, so
-	// the error is reported but changes nothing.
-	f.Close() //fluidvet:allow syncerr close is itself a strike site; every append was already fsynced
-
 	if out.Status != recovery.Aborted {
-		got, err := machineFP(m)
-		if err != nil {
-			return "", err
-		}
 		if got != want {
 			return "", fmt.Errorf("non-aborted run diverged from reference")
 		}
@@ -251,29 +223,14 @@ func (ca *compiledAssay) strikeOutcome(p faults.Profile, seed int64, opts recove
 	}
 	// The journal's good prefix must salvage on the now-healthy real
 	// filesystem, and the resume must land on the reference state.
-	recs, _, err := journal.Recover(vfs.OS{}, path)
-	if err != nil {
-		return "", fmt.Errorf("salvaging struck journal: %w", err)
-	}
-	var m2 *aquacore.Machine
-	out2, _, err := recovery.ResumeFallback(
-		func() (*aquacore.Machine, error) {
-			mm, err := ca.newMachine(p, seed, nil)
-			m2 = mm
-			return mm, err
-		},
-		ca.Code.Prog, ca.Recovery(), opts, recovery.Snapshots(recs), nil)
+	r, err := ca.resumeJournal(path, p, seed, opts)
 	if err != nil {
 		return "", fmt.Errorf("resume after strike: %w", err)
 	}
-	if out2.Status == recovery.Aborted {
-		return "", fmt.Errorf("resume after strike aborted: %w", out2.Err)
+	if r.out.Status == recovery.Aborted {
+		return "", fmt.Errorf("resume after strike aborted: %w", r.out.Err)
 	}
-	got, err := machineFP(m2)
-	if err != nil {
-		return "", err
-	}
-	if got != want {
+	if r.fp != want {
 		return "", fmt.Errorf("resumed state diverged from reference")
 	}
 	return chaosResumed, nil
@@ -287,89 +244,54 @@ func (ca *compiledAssay) strikeOutcome(p faults.Profile, seed int64, opts recove
 func (ca *compiledAssay) fallbackLadderCase(p faults.Profile, seed int64, opts recovery.Options,
 	dir string, boundaries int, want string) (skipped int, ok bool, err error) {
 	path := filepath.Join(dir, ca.name+"-ladder.aqj")
-	jw, f, err := journal.Create(vfs.OS{}, path, true)
-	if err != nil {
+	opts.SnapshotEvery = 2
+	crashOpts := opts
+	crashOpts.Crash = faults.CrashAt(min(boundaries-1, 9))
+	if _, _, err := ca.runJournaled(vfs.OS{}, path, p, seed, crashOpts); err != nil {
 		return 0, false, err
-	}
-	copts := opts
-	copts.SnapshotEvery = 2
-	copts.Journal = jw
-	copts.Crash = faults.CrashAt(min(boundaries-1, 9))
-	out, _, err := ca.runRecovered(p, seed, copts)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	if out.Status != recovery.Aborted {
-		return 0, false, fmt.Errorf("crash run finished with status %s", out.Status)
 	}
 
 	recs, _, err := journal.Recover(vfs.OS{}, path)
 	if err != nil {
 		return 0, false, err
 	}
-	last := -1
-	for i, r := range recs {
+	var snaps []*journal.Snapshot
+	for _, r := range recs {
 		if r.Kind == journal.KindSnapshot {
-			last = i
+			snaps = append(snaps, r.Snapshot)
 		}
 	}
-	if last < 0 || len(recovery.Snapshots(recs)) < 2 {
+	if len(snaps) < 2 {
 		return 0, false, fmt.Errorf("crash journal has too few snapshots for a ladder")
 	}
-	recs[last].Snapshot.Machine = nil
+	snaps[len(snaps)-1].Machine = nil
 
 	// Rewrite the journal with the poisoned record: every frame CRC is
 	// valid, the damage is semantic.
-	jw2, f2, err := journal.Create(vfs.OS{}, path, true)
+	jw, f, err := journal.Create(vfs.OS{}, path, true)
 	if err != nil {
 		return 0, false, err
 	}
 	for _, r := range recs {
-		if err := jw2.Append(r); err != nil {
-			f2.Close() //fluidvet:allow syncerr error path; the append failure being returned supersedes any close error
+		if err := jw.Append(r); err != nil {
+			f.Close() //fluidvet:allow syncerr error path; the append failure being returned supersedes any close error
 			return 0, false, err
 		}
 	}
-	if err := f2.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return 0, false, err
 	}
 
-	// End-to-end resume: reopen for append, walk the ladder.
-	recs2, _, w, f3, err := journal.OpenAppend(vfs.OS{}, path)
+	// End-to-end resume: reopen for append, walk the ladder. The
+	// chosen-rung announcement is a note too; only the rungs before it
+	// were skipped.
+	r, err := ca.resumeJournal(path, p, seed, opts)
 	if err != nil {
 		return 0, false, err
 	}
-	ropts := opts
-	ropts.SnapshotEvery = 2
-	ropts.Journal = w
-	snaps := recovery.Snapshots(recs2)
-	var m *aquacore.Machine
-	out2, used, err := recovery.ResumeFallback(
-		func() (*aquacore.Machine, error) {
-			mm, merr := ca.newMachine(p, seed, nil)
-			m = mm
-			return mm, merr
-		},
-		ca.Code.Prog, ca.Recovery(), ropts, snaps,
-		func(string) { skipped++ })
-	if cerr := f3.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return skipped, false, err
-	}
-	// The chosen-rung announcement is a note too; only the rungs before
-	// it were skipped.
-	skipped--
-	got, err := machineFP(m)
-	if err != nil {
-		return skipped, false, err
-	}
-	ok = used != nil && used == snaps[len(snaps)-2] && skipped == 1 &&
-		out2.Status != recovery.Aborted && got == want
+	skipped = len(r.notes) - 1
+	ok = r.rung != nil && r.rung.Boundary == snaps[len(snaps)-2].Boundary && skipped == 1 &&
+		r.out.Status != recovery.Aborted && r.fp == want
 	return skipped, ok, nil
 }
 

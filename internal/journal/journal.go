@@ -30,8 +30,9 @@
 // The journal's snapshot records carry the complete machine state
 // (aquacore.Snapshot, fault-PRNG position included) plus the recovery
 // runtime's counters. Because execution is deterministic in (listing,
-// plan, seed, profile), resuming = restore the last snapshot and
-// re-execute; the step records after it are advisory (they let tools
+// plan, seed, profile), resuming = restore the newest snapshot that
+// validates (recovery.Resume falls back to older ones, and at the bottom
+// to a restart) and re-execute; the step records after it are advisory (they let tools
 // report how far the dead run got, and carry the PRNG position for
 // consistency checks). A run killed at any instruction boundary therefore
 // finishes with final vessel volumes and an event log bit-identical to an

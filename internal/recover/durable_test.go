@@ -27,19 +27,8 @@ func machineFingerprint(t *testing.T, m *aquacore.Machine) string {
 	return string(b)
 }
 
-// lastSnapshot scans journal records for the most recent snapshot.
-func lastSnapshot(recs []*journal.Record) *journal.Snapshot {
-	var snap *journal.Snapshot
-	for _, r := range recs {
-		if r.Kind == journal.KindSnapshot {
-			snap = r.Snapshot
-		}
-	}
-	return snap
-}
-
 // The chaos contract: a journaled run killed at EVERY instruction
-// boundary must, after resume from its last snapshot, finish with
+// boundary must, after resume from its newest snapshot, finish with
 // machine state and outcome bit-identical to the uninterrupted run.
 func TestCrashAtEveryBoundaryResumesBitIdentical(t *testing.T) {
 	ep, plan, cg := compileGlucose(t)
@@ -113,21 +102,29 @@ func TestCrashAtEveryBoundaryResumesBitIdentical(t *testing.T) {
 		if last := recs[len(recs)-1]; last.Kind == journal.KindOutcome {
 			t.Fatalf("crash at %d: crashed journal must not contain an outcome record", k)
 		}
-		snap := lastSnapshot(recs)
-		if snap == nil {
-			t.Fatalf("crash at %d: no snapshot to resume from", k)
+		var lastSnap *journal.Snapshot
+		for _, r := range recs {
+			if r.Kind == journal.KindSnapshot {
+				lastSnap = r.Snapshot
+			}
 		}
-		if snap.Boundary > k {
-			t.Fatalf("crash at %d: snapshot boundary %d is past the crash", k, snap.Boundary)
-		}
-
 		resumeOpts := opts
 		resumeOpts.Journal = w2
-		m2 := newMachine(ep, plan, profile, seed, nil)
-		out2, err := recovery.Resume(m2, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, resumeOpts, snap)
+		var m2 *aquacore.Machine
+		var notes []string
+		out2, snap, err := recovery.Resume(
+			func() (*aquacore.Machine, error) { m2 = newMachine(ep, plan, profile, seed, nil); return m2, nil },
+			cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, resumeOpts, recs,
+			func(s string) { notes = append(notes, s) })
 		f2.Close()
 		if err != nil {
 			t.Fatalf("crash at %d: resume: %v", k, err)
+		}
+		if snap == nil || snap != lastSnap {
+			t.Fatalf("crash at %d: did not resume from the journal's newest snapshot (notes: %q)", k, notes)
+		}
+		if snap.Boundary > k {
+			t.Fatalf("crash at %d: snapshot boundary %d is past the crash", k, snap.Boundary)
 		}
 		if out2.Status != refOut.Status {
 			t.Fatalf("crash at %d: resumed status %s, want %s", k, out2.Status, refOut.Status)
@@ -191,19 +188,6 @@ func TestJournalWriteFailureAborts(t *testing.T) {
 	}
 	if out.Result == nil {
 		t.Fatal("aborted outcome must still carry the partial result")
-	}
-}
-
-// Resume validates its snapshot before touching the machine.
-func TestResumeValidation(t *testing.T) {
-	ep, plan, cg := compileGlucose(t)
-	m := newMachine(ep, plan, faults.Profile{}, 0, nil)
-	if _, err := recovery.Resume(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, recovery.Options{}, nil); err == nil {
-		t.Error("nil snapshot accepted")
-	}
-	if _, err := recovery.Resume(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, recovery.Options{},
-		&journal.Snapshot{Boundary: 0, PC: len(cg.Prog.Instrs) + 1, Machine: &aquacore.Snapshot{}}); err == nil {
-		t.Error("out-of-range pc accepted")
 	}
 }
 

@@ -261,62 +261,6 @@ func Run(m *aquacore.Machine, prog *ais.Program, c *Compiled, opts Options) *Out
 	return run(m, prog, c, opts.withDefaults(), 0, 0, &Outcome{})
 }
 
-// Resume continues a journaled run from a snapshot record: it restores
-// the machine state (fault-PRNG position and measurement log included)
-// onto the freshly-constructed m, reloads the recovery counters, and
-// re-enters the loop at the snapshot's (pc, boundary). Because execution
-// is deterministic, the finished run is bit-identical to one that was
-// never interrupted. opts.Journal, when set, should append to the
-// recovered journal (journal.OpenAppend).
-func Resume(m *aquacore.Machine, prog *ais.Program, c *Compiled,
-	opts Options, snap *journal.Snapshot) (*Outcome, error) {
-	out, err := prepareResume(m, prog, snap)
-	if err != nil {
-		return nil, err
-	}
-	return run(m, prog, c, opts.withDefaults(), snap.PC, snap.Boundary, out), nil
-}
-
-// prepareResume validates a snapshot, restores it onto the fresh machine
-// m, and reconstructs the accumulated recovery counters — everything
-// Resume does short of executing. Split out so the fallback ladder can
-// probe a snapshot's usability (and announce the chosen rung) before
-// committing to the run.
-func prepareResume(m *aquacore.Machine, prog *ais.Program, snap *journal.Snapshot) (*Outcome, error) {
-	if snap == nil || snap.Machine == nil {
-		return nil, fmt.Errorf("recovery: resume needs a snapshot with machine state")
-	}
-	if snap.PC < 0 || snap.PC > len(prog.Instrs) {
-		return nil, fmt.Errorf("recovery: snapshot pc %d out of range [0,%d]", snap.PC, len(prog.Instrs))
-	}
-	if snap.Boundary < 0 {
-		return nil, fmt.Errorf("recovery: snapshot boundary %d is negative: corrupt", snap.Boundary)
-	}
-	if err := m.Restore(snap.Machine); err != nil {
-		return nil, fmt.Errorf("recovery: restoring machine state: %w", err)
-	}
-	out := &Outcome{}
-	if rs := snap.Recovery; rs != nil {
-		out.Retries = rs.Retries
-		out.Regens = rs.Regens
-		out.RegenInstrs = rs.RegenInstrs
-		out.Replans = rs.Replans
-		out.ReplanInstrs = rs.ReplanInstrs
-		out.ReplanBoundaries = append([]int(nil), rs.ReplanBoundaries...)
-		out.BackoffSeconds = rs.BackoffSeconds
-		for _, inc := range rs.Incidents {
-			out.Incidents = append(out.Incidents, Incident{
-				Event: aquacore.Event{
-					Kind: aquacore.EventKind(inc.Kind), PC: inc.PC,
-					Instr: inc.Instr, Detail: inc.Detail,
-				},
-				Retries: inc.Retries,
-			})
-		}
-	}
-	return out, nil
-}
-
 // recoveryState flattens the outcome counters for a journal snapshot.
 func recoveryState(out *Outcome) *journal.RecoveryState {
 	rs := &journal.RecoveryState{

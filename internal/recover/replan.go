@@ -52,7 +52,7 @@ func regenEstimate(m *aquacore.Machine, prog *ais.Program, c *Compiled, edge int
 				}
 			}
 			if in.Op.IsWet() {
-				seconds += m.MoveSecondsPer()
+				seconds += aquacore.MoveSeconds
 			}
 		}
 	}
