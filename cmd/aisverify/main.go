@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,17 +29,6 @@ import (
 	"aquavol/internal/diag"
 )
 
-// record is the JSON shape of one finding, matching fluidlint's.
-type record struct {
-	File       string        `json:"file"`
-	Line       int           `json:"line,omitempty"`
-	Col        int           `json:"col,omitempty"`
-	Severity   diag.Severity `json:"severity"`
-	Code       string        `json:"code,omitempty"`
-	Message    string        `json:"message"`
-	Suggestion string        `json:"suggestion,omitempty"`
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -51,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	wError := fs.Bool("Werror", false, "treat warnings as errors")
 	volFile := fs.String("voltab", "", "per-instruction volume table for the listing")
-	yield := fs.Float64("yield", 0, "separation effluent yield fraction (default 0.4)")
+	yield := fs.Float64("yield", 0, fmt.Sprintf("separation effluent yield fraction (default %g)", ais.SeparationYield))
 	unknown := fs.Bool("unknown-volumes", false, "volumes are assigned at run time (staged assays)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -79,12 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	type finding struct {
-		file string
-		d    diag.Diagnostic
-	}
-	var all []finding
-	failed := false
+	report := diag.Report{Werror: *wError}
 	for _, file := range fs.Args() {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -108,39 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				SeparationYield: *yield,
 			})
 		}
-		for _, d := range findings {
-			if *wError && d.Severity == diag.Warning {
-				d.Severity = diag.Error
-			}
-			if d.Severity == diag.Error {
-				failed = true
-			}
-			all = append(all, finding{file: file, d: d})
-		}
+		report.Add(file, findings)
 	}
-
-	if *jsonOut {
-		records := make([]record, 0, len(all))
-		for _, f := range all {
-			records = append(records, record{
-				File: f.file, Line: f.d.Pos.Line, Col: f.d.Pos.Col,
-				Severity: f.d.Severity, Code: f.d.Code,
-				Message: f.d.Msg, Suggestion: f.d.Suggestion,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(records); err != nil {
-			fmt.Fprintln(stderr, "aisverify:", err)
-			return 2
-		}
-	} else {
-		for _, f := range all {
-			fmt.Fprintf(stdout, "%s:%s\n", f.file, f.d.Error())
-		}
-	}
-	if failed {
-		return 1
-	}
-	return 0
+	return report.Finish("aisverify", stdout, stderr, *jsonOut)
 }

@@ -7,7 +7,20 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aquavol/internal/diag"
 )
+
+// record is the JSON shape of one finding, as consumers parse it.
+type record struct {
+	File       string        `json:"file"`
+	Line       int           `json:"line,omitempty"`
+	Col        int           `json:"col,omitempty"`
+	Severity   diag.Severity `json:"severity"`
+	Code       string        `json:"code,omitempty"`
+	Message    string        `json:"message"`
+	Suggestion string        `json:"suggestion,omitempty"`
+}
 
 func writeFile(t *testing.T, name, src string) string {
 	t.Helper()
@@ -113,5 +126,21 @@ func TestVoltabOption(t *testing.T) {
 	two := writeFile(t, "other.ais", cleanListing)
 	if code, _, stderr := runVerify(t, "-voltab", tab, listing, two); code != 2 || !strings.Contains(stderr, "single listing") {
 		t.Errorf("-voltab with two listings: exit %d, stderr %q; want 2", code, stderr)
+	}
+}
+
+// TestJSONGolden pins the -json bytes of one run over a verifier error,
+// a verifier warning and an assembler error against testdata/json.golden.
+func TestJSONGolden(t *testing.T) {
+	code, out, stderr := runVerify(t, "-json", "testdata/ranout.ais", "testdata/warn.ais", "testdata/badasm.ais")
+	if code != 1 {
+		t.Fatalf("exit %d, stderr %q; want 1", code, stderr)
+	}
+	want, err := os.ReadFile("testdata/json.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("-json output differs from testdata/json.golden:\n got: %s\nwant: %s", out, want)
 	}
 }

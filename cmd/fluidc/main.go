@@ -90,15 +90,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(err)
 		}
-		bad := false
-		for _, d := range findings {
-			if *wError && d.Severity == diag.Warning {
-				d.Severity = diag.Error
-			}
-			bad = bad || d.Severity == diag.Error
-			fmt.Fprintf(stderr, "%s:%s\n", fs.Arg(0), d.Error())
-		}
-		if bad {
+		report := diag.Report{Werror: *wError}
+		report.Add(fs.Arg(0), findings)
+		report.WriteText(stderr)
+		if report.Failed() {
 			return 1
 		}
 	}

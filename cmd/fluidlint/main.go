@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -25,17 +24,6 @@ import (
 	"aquavol/internal/core"
 	"aquavol/internal/diag"
 )
-
-// record is the JSON shape of one finding.
-type record struct {
-	File       string        `json:"file"`
-	Line       int           `json:"line,omitempty"`
-	Col        int           `json:"col,omitempty"`
-	Severity   diag.Severity `json:"severity"`
-	Code       string        `json:"code,omitempty"`
-	Message    string        `json:"message"`
-	Suggestion string        `json:"suggestion,omitempty"`
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -57,12 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := core.DefaultConfig()
 	opts := analysis.Options{DiscardThreshold: *threshold}
-	type finding struct {
-		file string
-		d    diag.Diagnostic
-	}
-	var all []finding
-	failed := false
+	report := diag.Report{Werror: *wError}
 	for _, file := range fs.Args() {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -74,39 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "fluidlint:", err)
 			return 2
 		}
-		for _, d := range findings {
-			if *wError && d.Severity == diag.Warning {
-				d.Severity = diag.Error
-			}
-			if d.Severity == diag.Error {
-				failed = true
-			}
-			all = append(all, finding{file: file, d: d})
-		}
+		report.Add(file, findings)
 	}
-
-	if *jsonOut {
-		records := make([]record, 0, len(all))
-		for _, f := range all {
-			records = append(records, record{
-				File: f.file, Line: f.d.Pos.Line, Col: f.d.Pos.Col,
-				Severity: f.d.Severity, Code: f.d.Code,
-				Message: f.d.Msg, Suggestion: f.d.Suggestion,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(records); err != nil {
-			fmt.Fprintln(stderr, "fluidlint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range all {
-			fmt.Fprintf(stdout, "%s:%s\n", f.file, f.d.Error())
-		}
-	}
-	if failed {
-		return 1
-	}
-	return 0
+	return report.Finish("fluidlint", stdout, stderr, *jsonOut)
 }

@@ -6,7 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aquavol/internal/diag"
 )
+
+// record is the JSON shape of one finding, as consumers parse it.
+type record struct {
+	File       string        `json:"file"`
+	Line       int           `json:"line,omitempty"`
+	Col        int           `json:"col,omitempty"`
+	Severity   diag.Severity `json:"severity"`
+	Code       string        `json:"code,omitempty"`
+	Message    string        `json:"message"`
+	Suggestion string        `json:"suggestion,omitempty"`
+}
 
 func writeAssay(t *testing.T, name, src string) string {
 	t.Helper()
@@ -112,5 +125,21 @@ func TestJSONOutput(t *testing.T) {
 		t.Errorf("clean assay: exit %d", code)
 	} else if err := json.Unmarshal([]byte(out), &records); err != nil || len(records) != 0 {
 		t.Errorf("clean assay JSON = %q (err %v); want empty array", out, err)
+	}
+}
+
+// TestJSONGolden pins the -json bytes of one run over an error-only and
+// a warning-only assay against testdata/json.golden.
+func TestJSONGolden(t *testing.T) {
+	code, out, stderr := runLint(t, "-json", "testdata/hot.asy", "testdata/warm.asy")
+	if code != 1 {
+		t.Fatalf("exit %d, stderr %q; want 1", code, stderr)
+	}
+	want, err := os.ReadFile("testdata/json.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("-json output differs from testdata/json.golden:\n got: %s\nwant: %s", out, want)
 	}
 }

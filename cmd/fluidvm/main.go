@@ -118,7 +118,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fluidvm", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	yield := fs.Float64("yield", 0.4, "separation effluent yield fraction")
+	yield := fs.Float64("yield", ais.SeparationYield, "separation effluent yield fraction")
 	trace := fs.Bool("trace", false, "stream executed instructions with pre/post vessel volumes")
 	aisFile := fs.String("ais", "", "execute a textual AIS listing (requires -voltab)")
 	volFile := fs.String("voltab", "", "per-instruction volume table for -ais")

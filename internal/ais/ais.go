@@ -114,6 +114,11 @@ func (o Opcode) String() string {
 // verifier's interval analysis assumes.
 const ConcentrateYield = 0.5
 
+// SeparationYield is the default effluent fraction a separation leaves
+// when the hardware supplies no measured yield: the figure the
+// simulator, the verifier and the regeneration models assume.
+const SeparationYield = 0.4
+
 // IsWet reports whether the instruction occupies the fluidic datapath.
 func (o Opcode) IsWet() bool {
 	switch o {

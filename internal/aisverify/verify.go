@@ -81,9 +81,6 @@ var (
 // listing exactly as `aquacore` executes one with no DAG or volume
 // source attached.
 type Options struct {
-	// Config supplies MaxCapacity and LeastCount. Zero selects
-	// core.DefaultConfig().
-	Config core.Config
 	// Volumes is the per-instruction absolute volume table (the shipped
 	// companion of a listing, or one built from a static plan). Entries
 	// take precedence over edge annotations, mirroring the machine.
@@ -101,7 +98,7 @@ type Options struct {
 	// compile-time Init values the runtime presets via SetDry).
 	DefinedRegs []string
 	// SeparationYield is the effluent fraction the machine's separations
-	// produce. 0 selects the machine default 0.4.
+	// produce. 0 selects ais.SeparationYield.
 	SeparationYield float64
 }
 
@@ -126,18 +123,16 @@ type verifier struct {
 //
 //fluidvet:parallelsafe
 func Verify(p *ais.Program, opts Options) diag.List {
-	if opts.Config.MaxCapacity == 0 {
-		opts.Config = core.DefaultConfig()
-	}
 	if opts.SeparationYield == 0 {
-		opts.SeparationYield = 0.4
+		opts.SeparationYield = ais.SeparationYield
 	}
+	cfg := core.DefaultConfig()
 	v := &verifier{
 		prog:  p,
 		opts:  opts,
-		cap:   opts.Config.MaxCapacity,
-		lc:    opts.Config.LeastCount,
-		limit: 4 * opts.Config.MaxCapacity,
+		cap:   cfg.MaxCapacity,
+		lc:    cfg.LeastCount,
+		limit: 4 * cfg.MaxCapacity,
 	}
 	if !v.structural() {
 		return v.out

@@ -19,9 +19,6 @@ import (
 // ratio.
 type DivisibilityPass struct{}
 
-// Name implements Pass.
-func (DivisibilityPass) Name() string { return "divisibility" }
-
 // countTol separates float noise in frac×T (≲1e-12 for ratios that are
 // exact rationals with denominator ≤ MaxSkew) from genuine misses (the
 // best non-matching rational approximations err by ≳1e-5).
@@ -30,7 +27,7 @@ const countTol = 1e-6
 // maxTotalScan bounds the search for pathological configurations.
 const maxTotalScan = 100000
 
-// Run implements Pass.
+// Run reports the pass's findings over ctx.
 func (DivisibilityPass) Run(ctx *Context) diag.List {
 	var out diag.List
 	maxTotal := int(math.Floor(ctx.Cfg.MaxSkew() + countTol))

@@ -39,10 +39,7 @@ const volTol = 1e-9
 // since cascading repairs it automatically).
 type IntervalPass struct{}
 
-// Name implements Pass.
-func (IntervalPass) Name() string { return "volume-interval" }
-
-// Run implements Pass.
+// Run reports the pass's findings over ctx.
 func (p IntervalPass) Run(ctx *Context) diag.List {
 	a := &intervalAnalysis{ctx: ctx, cfg: ctx.Cfg}
 	a.forward()

@@ -20,10 +20,7 @@ import (
 //     trigger, so the volume manager will cascade if DAGSolve underflows.
 type SkewPass struct{}
 
-// Name implements Pass.
-func (SkewPass) Name() string { return "skew" }
-
-// Run implements Pass.
+// Run reports the pass's findings over ctx.
 func (SkewPass) Run(ctx *Context) diag.List {
 	var out diag.List
 	maxSkew := ctx.Cfg.MaxSkew()

@@ -21,10 +21,7 @@ import (
 //     (requires the elaborated program).
 type WastePass struct{}
 
-// Name implements Pass.
-func (WastePass) Name() string { return "waste" }
-
-// Run implements Pass.
+// Run reports the pass's findings over ctx.
 func (p WastePass) Run(ctx *Context) diag.List {
 	var out diag.List
 	out = append(out, p.deadFluids(ctx)...)

@@ -184,13 +184,13 @@ func TestPlanSourceRangeChecks(t *testing.T) {
 			t.Errorf("NodeVolume(%d) = ok", id)
 		}
 	}
-	isrc := aquacore.IntPlanSource{Plan: core.Round(plan, core.DefaultConfig()), Cfg: core.DefaultConfig()}
+	isrc := intPlanSource{plan: core.Round(plan, core.DefaultConfig()), cfg: core.DefaultConfig()}
 	for _, id := range []int{-1, 1 << 30} {
 		if _, ok := isrc.EdgeVolume(id); ok {
-			t.Errorf("IntPlanSource.EdgeVolume(%d) = ok", id)
+			t.Errorf("intPlanSource.EdgeVolume(%d) = ok", id)
 		}
 		if _, ok := isrc.NodeVolume(id); ok {
-			t.Errorf("IntPlanSource.NodeVolume(%d) = ok", id)
+			t.Errorf("intPlanSource.NodeVolume(%d) = ok", id)
 		}
 	}
 }

@@ -43,7 +43,8 @@ type Config struct {
 	// the volume manager.
 	Volume core.Config
 	// SeparationYield is the effluent fraction separations produce at run
-	// time (the quantity the paper's hardware measures). 0 selects 0.4.
+	// time (the quantity the paper's hardware measures). 0 selects
+	// ais.SeparationYield.
 	SeparationYield float64
 	// Trace, when non-nil, receives one entry per executed instruction
 	// with the volumes of the instruction's vessels before and after the
@@ -97,7 +98,7 @@ func (c Config) withDefaults() Config {
 		c.Volume = core.DefaultConfig()
 	}
 	if c.SeparationYield == 0 {
-		c.SeparationYield = 0.4
+		c.SeparationYield = ais.SeparationYield
 	}
 	return c
 }

@@ -75,7 +75,7 @@ func TestGlucoseRoundedPlanExecutes(t *testing.T) {
 	if !ip.Feasible() {
 		t.Fatal("rounded plan infeasible")
 	}
-	m := aquacore.New(aquacore.Config{}, ep.Graph, aquacore.IntPlanSource{Plan: ip, Cfg: cfg})
+	m := aquacore.New(aquacore.Config{}, ep.Graph, intPlanSource{plan: ip, cfg: cfg})
 	res, err := m.Run(cg.Prog)
 	if err != nil {
 		t.Fatal(err)

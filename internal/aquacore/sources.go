@@ -32,32 +32,6 @@ func (s PlanSource) NodeVolume(nodeID int) (float64, bool) {
 // Measured implements VolumeSource.
 func (PlanSource) Measured(int, string, float64) {}
 
-// IntPlanSource is PlanSource over an IVol-rounded plan: volumes are exact
-// integer multiples of the least count.
-type IntPlanSource struct {
-	Plan *core.IntPlan
-	Cfg  core.Config
-}
-
-// EdgeVolume implements VolumeSource.
-func (s IntPlanSource) EdgeVolume(edgeID int) (float64, bool) {
-	if edgeID < 0 || edgeID >= len(s.Plan.EdgeUnits) {
-		return 0, false
-	}
-	return float64(s.Plan.EdgeUnits[edgeID]) * s.Cfg.LeastCount, true
-}
-
-// NodeVolume implements VolumeSource.
-func (s IntPlanSource) NodeVolume(nodeID int) (float64, bool) {
-	if nodeID < 0 || nodeID >= len(s.Plan.NodeUnits) {
-		return 0, false
-	}
-	return float64(s.Plan.NodeUnits[nodeID]) * s.Cfg.LeastCount, true
-}
-
-// Measured implements VolumeSource.
-func (IntPlanSource) Measured(int, string, float64) {}
-
 // StagedSource adapts a core.StagedPlan as the runtime volume manager for
 // assays with statically-unknown volumes: as the machine reports measured
 // separation outputs, successive partitions are solved and their absolute
@@ -190,6 +164,5 @@ func (s *StagedSource) Measured(nodeID int, port string, volume float64) {
 // ensure interface compliance.
 var (
 	_ VolumeSource = PlanSource{}
-	_ VolumeSource = IntPlanSource{}
 	_ VolumeSource = (*StagedSource)(nil)
 )

@@ -422,14 +422,14 @@ func Table2(full bool) *Table {
 	}
 
 	dagT, lpT, cons := solveTimes(assays.GlucoseDAG(), core.FormulateOptions{})
-	rg := regen.CountNaive(assays.GlucoseDAG(), c, regen.Options{})
+	rg := regen.CountNaive(assays.GlucoseDAG(), c)
 	addRow("Glucose", dagT, lpT, cons, "49", rg.Regenerations, "2")
 
 	dagT, lpT, cons = glycomicsTimes()
 	addRow("Glycomics", dagT, lpT, cons, "84", 0, "n/a")
 
 	dagT, lpT, cons = solveTimes(assays.EnzymeDAG(4), core.FormulateOptions{})
-	rg = regen.CountNaive(assays.EnzymeDAG(4), c, regen.Options{})
+	rg = regen.CountNaive(assays.EnzymeDAG(4), c)
 	addRow("Enzyme", dagT, lpT, cons, "872", rg.Regenerations, "85")
 
 	e10 := assays.EnzymeDAG(10)
@@ -451,7 +451,7 @@ func Table2(full bool) *Table {
 		}
 		lp10 = time.Since(start) //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
 	}
-	rg = regen.CountNaive(e10, c10, regen.Options{})
+	rg = regen.CountNaive(e10, c10)
 	addRow("Enzyme10", dagT, lp10, f10.Counts.Total(), "11258", rg.Regenerations, "1313")
 
 	t.Notes = append(t.Notes,
@@ -665,7 +665,7 @@ func Regen() *Table {
 		{"Enzyme10", assays.EnzymeDAG(10), "1313", nil},
 	}
 	for _, r := range rows {
-		naive := regen.CountNaive(r.g, c, regen.Options{})
+		naive := regen.CountNaive(r.g, c)
 		withPlan := "-"
 		if r.planned != nil {
 			withPlan = fmt.Sprintf("%d", regen.CountPlanned(r.planned).Regenerations)

@@ -25,8 +25,6 @@ type Config struct {
 	// NumReservoirs bounds simultaneously-live stored fluids. 0 selects
 	// 64.
 	NumReservoirs int
-	// NumSeparators bounds distinct separator units. 0 selects 2.
-	NumSeparators int
 	// ReuseReservoirs lets dead fluids' reservoirs be re-allocated. Off by
 	// default: under LP plans with excess production a reservoir can
 	// retain a residue, and reusing it without a flush would contaminate
@@ -41,12 +39,13 @@ type Config struct {
 	NoForwarding bool
 }
 
+// numSeparators is the number of separator units on the PLoC;
+// successive separations rotate through them.
+const numSeparators = 2
+
 func (c Config) withDefaults() Config {
 	if c.NumReservoirs == 0 {
 		c.NumReservoirs = 64
-	}
-	if c.NumSeparators == 0 {
-		c.NumSeparators = 2
 	}
 	return c
 }
@@ -105,10 +104,13 @@ type Result struct {
 	// holds the fluid after its producing cluster: a reservoir name
 	// ("s3") or, for forwarded results, the unit ("mixer1") or unit port
 	// ("separator1.out1"). Each produced fluid is placed exactly once, so
-	// the map is the program-long location table; the recovery runtime
-	// reads live volumes through it when replanning the residual DAG.
+	// the map is the program-long location table: the recovery runtime
+	// reads live volumes through it when replanning the residual DAG, and
+	// regeneration relies on it too, because replaying a producer's
+	// cluster re-runs the placement move into the vessel named here.
 	// (With Config.ReuseReservoirs a reservoir may later hold a different
-	// fluid — reuse and replanning should not be combined.)
+	// fluid, and regenerating the first would pour it on top of the live
+	// second — reuse and regeneration must not be combined.)
 	VesselOf map[string]string
 }
 
@@ -587,7 +589,7 @@ func (gen *generator) emitHeat(n *dag.Node, op *elab.Op) error {
 
 func (gen *generator) emitSeparate(n *dag.Node, op *elab.Op, auxRes map[string]int) error {
 	gen.sepN++
-	unitName := fmt.Sprintf("separator%d", (gen.sepN-1)%gen.cfg.NumSeparators+1)
+	unitName := fmt.Sprintf("separator%d", (gen.sepN-1)%numSeparators+1)
 	unit := ais.FU(unitName)
 	// Auxiliary loads: matrix and pusher drawn whole from their
 	// reservoirs (loaded lazily once per fluid).

@@ -34,11 +34,6 @@ type Config struct {
 	// reference output (§3.2's optional relative output-to-output
 	// constraints). Zero disables the constraints.
 	OutputSkew float64
-	// MaxFluidNodes, when nonzero, bounds the number of wet nodes the
-	// transformed DAG may contain; cascading/replication beyond it fails
-	// compilation (the paper: "the replicated code may exceed the PLoC's
-	// resources. In such cases, compilation fails.").
-	MaxFluidNodes int
 	// SafetyMargin is the over-provisioning fraction ε for imperfect
 	// fluidics: every non-leaf node plans to produce (1+ε)× what its
 	// consumers draw, so runs tolerate metering jitter, dead volume, and

@@ -359,16 +359,6 @@ func TestManageAttemptLimit(t *testing.T) {
 	}
 }
 
-func TestManageResourceLimit(t *testing.T) {
-	c := cfg()
-	c.MaxFluidNodes = 10 // enzyme needs hundreds
-	g := assays.EnzymeDAG(4)
-	_, err := core.Manage(g, c, core.ManageOptions{SkipLP: true})
-	if !errors.Is(err, core.ErrResourceLimit) {
-		t.Fatalf("err = %v, want ErrResourceLimit", err)
-	}
-}
-
 // E3 (Fig. 13): glycomics partitions into four parts; X2 (the second
 // separation's effluent) has Vnorm 1/204 in the third partition; buffer3a
 // splits 50/50.

@@ -108,10 +108,6 @@ var (
 	ErrNoTransform = fmt.Errorf("%w: no applicable transform", ErrUnmanageable)
 )
 
-// ErrResourceLimit reports that cascading/replication grew the DAG beyond
-// the configured PLoC resources, failing compilation (§3.4.2).
-var ErrResourceLimit = errors.New("core: transformed DAG exceeds PLoC resources")
-
 // Manage runs the volume-management hierarchy of Fig. 6 on a
 // statically-known assay DAG: DAGSolve first; the full LP on DAGSolve
 // underflow; then, if both fail, cascading (when the underflow sits on an
@@ -138,10 +134,6 @@ func Manage(g *dag.Graph, cfg Config, opts ManageOptions) (*ManageResult, error)
 			return nil, err
 		}
 		res.Attempts = attempt
-		if cfg.MaxFluidNodes > 0 && wetNodeCount(cur) > cfg.MaxFluidNodes {
-			tracef("transformed DAG has %d wet nodes > limit %d", wetNodeCount(cur), cfg.MaxFluidNodes)
-			return res, ErrResourceLimit
-		}
 
 		vn, err := computeVnormsBudgeted(cur, cfg.SafetyMargin, cfg.Budget)
 		if err != nil {
@@ -306,16 +298,4 @@ func CascadeDepth(n *dag.Node, cfg Config) (int, string) {
 		return levels, ""
 	}
 	return 0, "no supported cascade depth brings each stage under the cascade trigger"
-}
-
-// wetNodeCount counts nodes that occupy fluidic resources (everything but
-// synthetic bookkeeping sinks).
-func wetNodeCount(g *dag.Graph) int {
-	c := 0
-	for _, n := range g.Nodes() {
-		if n != nil && n.Kind != dag.Excess {
-			c++
-		}
-	}
-	return c
 }

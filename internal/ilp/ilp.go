@@ -52,8 +52,6 @@ func (s Status) String() string {
 
 // Options tunes the search. The zero value selects defaults.
 type Options struct {
-	// LP configures the relaxation solver at every node.
-	LP lp.Options
 	// MaxNodes bounds the number of branch-and-bound nodes explored.
 	// 0 selects 100000.
 	MaxNodes int
@@ -65,25 +63,20 @@ type Options struct {
 	// Result.Stop.
 	MaxTime time.Duration
 	// Budget, when non-nil, is the caller's shared budget: charged one
-	// work unit per node and routed into every node's LP solve (unless
-	// LP.Budget is already set). Exhaustion or deadline on this meter
+	// work unit per node and routed into every node's LP solve.
+	// Exhaustion or deadline on this meter
 	// truncates the search like MaxNodes/MaxTime; caller cancellation
 	// (budget.ErrCancelled) aborts Solve with that error.
 	Budget *budget.Meter
-	// IntTol is how close to an integer a value must be to count as
-	// integral. 0 selects 1e-6.
-	IntTol float64
-	// Integers lists the variables that must take integer values. Empty
-	// means every variable is integral.
-	Integers []lp.VarID
 }
+
+// intTol is how close to an integer a value must be to count as
+// integral.
+const intTol = 1e-6
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 100000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 	return o
 }
@@ -110,7 +103,8 @@ type Result struct {
 	Stop error
 }
 
-// Solve runs branch and bound on p. The problem's variable bounds are
+// Solve runs branch and bound on p, requiring every variable to take an
+// integer value (IVol is all-integer). The problem's variable bounds are
 // temporarily tightened during the search and restored before returning, so
 // p may be reused afterwards.
 //
@@ -127,17 +121,6 @@ type Result struct {
 func Solve(p *lp.Problem, opts Options) (*Result, error) {
 	opt := opts.withDefaults()
 	n := p.NumVariables()
-
-	isInt := make([]bool, n)
-	if len(opt.Integers) == 0 {
-		for i := range isInt {
-			isInt[i] = true
-		}
-	} else {
-		for _, v := range opt.Integers {
-			isInt[v] = true
-		}
-	}
 
 	// Save bounds so the search can mutate and restore them.
 	savedLo := make([]float64, n)
@@ -176,10 +159,7 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 			res.Stop = cause
 		}
 	}
-	lpOpts := opt.LP
-	if lpOpts.Budget == nil {
-		lpOpts.Budget = opt.Budget
-	}
+	lpOpts := lp.Options{Budget: opt.Budget}
 	search = func(depth int) error {
 		if err := bound.Charge(1); err != nil {
 			truncate(err)
@@ -221,13 +201,10 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 		if res.HasIncumbent && !better(sol.Objective, res.Objective) {
 			return nil
 		}
-		// Most fractional integral variable.
+		// Most fractional variable.
 		branch := -1
-		worst := opt.IntTol
+		worst := intTol
 		for j := 0; j < n; j++ {
-			if !isInt[j] {
-				continue
-			}
 			f := sol.X[j] - math.Floor(sol.X[j])
 			dist := math.Min(f, 1-f)
 			if dist > worst {
@@ -249,7 +226,7 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 		x := sol.X[branch]
 
 		// Down branch: x ≤ floor.
-		if fl := math.Floor(x); fl >= lo-opt.IntTol {
+		if fl := math.Floor(x); fl >= lo-intTol {
 			p.SetBounds(v, lo, math.Min(hi, fl))
 			if err := search(depth + 1); err != nil {
 				return err
@@ -257,7 +234,7 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 			p.SetBounds(v, lo, hi)
 		}
 		// Up branch: x ≥ ceil.
-		if cl := math.Ceil(x); cl <= hi+opt.IntTol {
+		if cl := math.Ceil(x); cl <= hi+intTol {
 			p.SetBounds(v, math.Max(lo, cl), hi)
 			if err := search(depth + 1); err != nil {
 				return err

@@ -121,28 +121,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
-func TestMixedInteger(t *testing.T) {
-	// y continuous, x integral: max x + 10y, x + y ≤ 3.7, y ≤ 0.5.
-	p := lp.NewProblem(lp.Maximize)
-	x := p.AddVariable("x")
-	y := p.AddVariable("y")
-	p.SetObjective(x, 1)
-	p.SetObjective(y, 10)
-	p.AddConstraint("c", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 3.7)
-	p.AddConstraint("ycap", []lp.Term{{Var: y, Coef: 1}}, lp.LE, 0.5)
-	r, err := Solve(p, Options{Integers: []lp.VarID{x}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// x=3, y=0.5 → 8.
-	if r.Status != Optimal || !approx(r.Objective, 8) {
-		t.Fatalf("got %v obj=%v, want optimal 8", r.Status, r.Objective)
-	}
-	if math.Abs(r.X[0]-3) > 1e-5 {
-		t.Fatalf("x=%v, want 3", r.X[0])
-	}
-}
-
 // BoundsRestored: Solve must leave the problem's bounds untouched.
 func TestBoundsRestored(t *testing.T) {
 	p := lp.NewProblem(lp.Maximize)

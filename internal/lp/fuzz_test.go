@@ -7,7 +7,7 @@ import (
 
 // Fuzz problems have at most fuzzVars variables and fuzzRows rows. Matrix
 // coefficients are integers in [-4, 4], so every basis determinant stays
-// far below 1/DefaultTol and no vertex sits within the solver's
+// far below 1/PivotTol and no vertex sits within the solver's
 // tolerances of a status boundary; objective, rhs and bound values are
 // any int8.
 const (

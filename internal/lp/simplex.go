@@ -43,10 +43,6 @@ type Options struct {
 	// MaxIterations bounds the total pivots across both phases.
 	// 0 selects 200*(rows+cols)+1000.
 	MaxIterations int
-	// Tol is the pivot/reduced-cost tolerance. 0 selects 1e-9.
-	Tol float64
-	// FeasTol is the phase-1 feasibility tolerance. 0 selects 1e-7.
-	FeasTol float64
 	// Budget, when non-nil, is charged one work unit per pricing pass
 	// (every pivot, plus the closing pass of each phase) and can stop the
 	// solve cooperatively. Unlike MaxIterations (which
@@ -59,12 +55,6 @@ type Options struct {
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 200*(m+n) + 1000
-	}
-	if o.Tol == 0 {
-		o.Tol = DefaultTol
-	}
-	if o.FeasTol == 0 {
-		o.FeasTol = DefaultFeasTol
 	}
 	return o
 }
@@ -231,7 +221,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		start[j] += start[j-1]
 	}
 	nnzStruct := start[nStruct]
-	s := newSimplex(m, n, nStruct+nSlack, nnzStruct+nSlack+nArt, opt.Tol)
+	s := newSimplex(m, n, nStruct+nSlack, nnzStruct+nSlack+nArt, PivotTol)
 	copy(s.rhs, rhs)
 	copy(s.colStart, start)
 	for i := 0; i < m; i++ {
@@ -292,7 +282,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			sol.Status = IterationLimit
 			return sol, nil
 		}
-		if s.basicCost() > opt.FeasTol {
+		if s.basicCost() > FeasTol {
 			sol.Status = Infeasible
 			return sol, nil
 		}
@@ -321,7 +311,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	// Extract the solution, mapping columns back through shifts and splits.
 	colVal := make([]float64, n)
 	for r, v := range s.xB {
-		if v < 0 && v > -opt.FeasTol {
+		if v < 0 && v > -FeasTol {
 			v = 0
 		}
 		colVal[s.basis[r]] = v

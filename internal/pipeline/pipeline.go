@@ -156,7 +156,7 @@ func Plan(ep *elab.Program, opts Options) (*Compiled, error) {
 		return c, c.certify("unmanaged", nil)
 	default:
 		res, err := core.Manage(ep.Graph, cfg, core.ManageOptions{})
-		if errors.Is(err, core.ErrUnmanageable) || errors.Is(err, core.ErrResourceLimit) {
+		if errors.Is(err, core.ErrUnmanageable) {
 			var trace strings.Builder
 			if res != nil {
 				for _, l := range res.Trace {

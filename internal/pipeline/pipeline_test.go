@@ -3,6 +3,8 @@ package pipeline_test
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -173,6 +175,46 @@ func TestNewMachineIsFresh(t *testing.T) {
 	}
 	if rc := c.Recovery(); rc.Graph != c.Graph || rc.Clusters == nil {
 		t.Error("recovery bundle does not carry the run graph and clusters")
+	}
+}
+
+// Regeneration replays a producer's cluster, whose placement move writes
+// into the reservoir Code.VesselOf names; a reservoir that later held a
+// second fluid would get the regenerated one poured on top. So on every
+// shipped assay each reservoir ("s3") holds exactly one fluid key.
+func TestReservoirsHoldOneFluid(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"glucose", assays.GlucoseSource},
+		{"glycomics", assays.GlycomicsSource},
+		{"enzyme2", assays.EnzymeSource(2)},
+		{"enzyme3", assays.EnzymeSource(3)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := pipeline.Compile(tc.src, pipeline.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, 0, len(c.Code.VesselOf))
+			for k := range c.Code.VesselOf {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			holder := map[string]string{}
+			for _, k := range keys {
+				v := c.Code.VesselOf[k]
+				if _, err := strconv.Atoi(strings.TrimPrefix(v, "s")); err != nil || !strings.HasPrefix(v, "s") {
+					continue // a unit or unit port, not a reservoir
+				}
+				if prev, ok := holder[v]; ok {
+					t.Errorf("reservoir %s holds both %s and %s", v, prev, k)
+				}
+				holder[v] = k
+			}
+			if len(holder) == 0 {
+				t.Fatal("no fluid is placed in a reservoir; the check is vacuous")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package regen
 import (
 	"math"
 
+	"aquavol/internal/ais"
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
 )
@@ -28,27 +29,19 @@ func (s Strategy) String() string {
 	return "lazy"
 }
 
+// opSeconds estimates the fluidic time per wet operation, for the
+// overhead report: mix/incubate scale.
+const opSeconds = 10
+
 // ExecOptions tunes Execute.
 type ExecOptions struct {
 	// Strategy selects lazy or eager-slice regeneration.
 	Strategy Strategy
-	// UnknownYield is the assumed production fraction of unknown-volume
-	// nodes. 0 selects 0.4.
-	UnknownYield float64
-	// OpSeconds estimates the fluidic time per wet operation, for the
-	// overhead report. 0 selects 10 s (mix/incubate scale).
-	OpSeconds float64
 	// MaxRegens aborts pathological runs. 0 selects 1 << 20.
 	MaxRegens int
 }
 
 func (o ExecOptions) withDefaults() ExecOptions {
-	if o.UnknownYield == 0 {
-		o.UnknownYield = 0.4
-	}
-	if o.OpSeconds == 0 {
-		o.OpSeconds = 10
-	}
 	if o.MaxRegens == 0 {
 		o.MaxRegens = 1 << 20
 	}
@@ -65,7 +58,7 @@ type ExecReport struct {
 	// BaselineOps counts the assay's own wet operations.
 	BaselineOps int
 	// ExtraFluidicSeconds estimates the fluidic time spent on
-	// regeneration (ReExecutedOps × OpSeconds).
+	// regeneration (ReExecutedOps × 10 s, the mix/incubate scale).
 	ExtraFluidicSeconds float64
 	// OverheadFraction is ReExecutedOps / BaselineOps.
 	OverheadFraction float64
@@ -80,7 +73,8 @@ type ExecReport struct {
 // under the chosen strategy, and reports the overhead. This realizes the
 // paper's argument for proactive volume management: regeneration
 // re-executes instructions on the fluidic datapath, which is orders of
-// magnitude slower than the electronic control (§1).
+// magnitude slower than the electronic control (§1). Unknown-volume nodes
+// are assumed to produce ais.SeparationYield of their input.
 func Execute(g *dag.Graph, cfg core.Config, opts ExecOptions) *ExecReport {
 	opt := opts.withDefaults()
 	rep := &ExecReport{Completed: true, PerFluid: map[string]int{}}
@@ -96,7 +90,7 @@ func Execute(g *dag.Graph, cfg core.Config, opts ExecOptions) *ExecReport {
 		}
 		out := n.OutFrac
 		if n.Unknown {
-			out = opt.UnknownYield
+			out = ais.SeparationYield
 		}
 		return cfg.MaxCapacity * out * (1 - n.Discard)
 	}
@@ -157,7 +151,7 @@ func Execute(g *dag.Graph, cfg core.Config, opts ExecOptions) *ExecReport {
 		}
 	}
 	rep.Completed = !aborted
-	rep.ExtraFluidicSeconds = float64(rep.ReExecutedOps) * opt.OpSeconds
+	rep.ExtraFluidicSeconds = float64(rep.ReExecutedOps) * opSeconds
 	if rep.BaselineOps > 0 {
 		rep.OverheadFraction = float64(rep.ReExecutedOps) / float64(rep.BaselineOps)
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestExecuteLazyMatchesCountNaive(t *testing.T) {
 	g := assays.EnzymeDAG(4)
-	count := regen.CountNaive(g, cfg(), regen.Options{})
+	count := regen.CountNaive(g, cfg())
 	exec := regen.Execute(g, cfg(), regen.ExecOptions{Strategy: regen.Lazy})
 	if !exec.Completed {
 		t.Fatal("execution aborted")
@@ -46,7 +46,7 @@ func TestExecuteEagerCostsMorePerTrigger(t *testing.T) {
 
 func TestExecuteOverheadMetrics(t *testing.T) {
 	g := assays.EnzymeDAG(4)
-	rep := regen.Execute(g, cfg(), regen.ExecOptions{OpSeconds: 10})
+	rep := regen.Execute(g, cfg(), regen.ExecOptions{})
 	if rep.BaselineOps != 12+64*3 {
 		t.Fatalf("baseline ops = %d, want 204", rep.BaselineOps)
 	}
@@ -54,7 +54,7 @@ func TestExecuteOverheadMetrics(t *testing.T) {
 		t.Errorf("overhead fraction = %v; the unmanaged enzyme assay should lose a large fraction to regeneration", rep.OverheadFraction)
 	}
 	if rep.ExtraFluidicSeconds != float64(rep.ReExecutedOps)*10 {
-		t.Error("fluidic overhead not OpSeconds × ops")
+		t.Error("fluidic overhead not 10 s × ops")
 	}
 }
 

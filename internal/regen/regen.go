@@ -27,6 +27,7 @@ package regen
 import (
 	"math"
 
+	"aquavol/internal/ais"
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
 )
@@ -46,25 +47,11 @@ type Report struct {
 	Truncated bool
 }
 
-// Options tunes the naive model.
-type Options struct {
-	// UnknownYield is the production fraction assumed for unknown-volume
-	// nodes. 0 selects 0.4.
-	UnknownYield float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.UnknownYield == 0 {
-		o.UnknownYield = 0.4
-	}
-	return o
-}
-
 // CountNaive simulates executing g with no volume management and reports
 // the regenerations required. Consumers execute in deterministic
-// topological (program) order.
-func CountNaive(g *dag.Graph, cfg core.Config, opts Options) *Report {
-	opt := opts.withDefaults()
+// topological (program) order. Unknown-volume nodes are assumed to
+// produce ais.SeparationYield of their input.
+func CountNaive(g *dag.Graph, cfg core.Config) *Report {
 	rep := &Report{PerFluid: map[string]int{}, TotalDrawn: map[string]float64{}}
 	avail := map[*dag.Node]float64{}
 	for _, n := range g.Nodes() {
@@ -78,7 +65,7 @@ func CountNaive(g *dag.Graph, cfg core.Config, opts Options) *Report {
 		}
 		out := n.OutFrac
 		if n.Unknown {
-			out = opt.UnknownYield
+			out = ais.SeparationYield
 		}
 		return cfg.MaxCapacity * out * (1 - n.Discard)
 	}

@@ -27,7 +27,7 @@ func deepChain(length int) *dag.Graph {
 // A cascade deeper than the 64-level recursion bound must be reported as
 // truncated instead of silently under-counted.
 func TestCountNaiveTruncated(t *testing.T) {
-	rep := CountNaive(deepChain(80), core.DefaultConfig(), Options{})
+	rep := CountNaive(deepChain(80), core.DefaultConfig())
 	if !rep.Truncated {
 		t.Fatalf("80-deep regeneration cascade must truncate; got %d regens, truncated=false",
 			rep.Regenerations)
@@ -39,7 +39,7 @@ func TestCountNaiveTruncated(t *testing.T) {
 
 // A shallow cascade stays exact.
 func TestCountNaiveNotTruncatedWhenShallow(t *testing.T) {
-	rep := CountNaive(deepChain(10), core.DefaultConfig(), Options{})
+	rep := CountNaive(deepChain(10), core.DefaultConfig())
 	if rep.Truncated {
 		t.Error("10-deep cascade must not hit the recursion bound")
 	}

@@ -15,9 +15,9 @@ func cfg() core.Config { return core.DefaultConfig() }
 // Enzyme10 thousands; the counts grow by more than an order of magnitude
 // at each step (paper: 2 → 85 → 1313).
 func TestNaiveCountsShape(t *testing.T) {
-	glucose := regen.CountNaive(assays.GlucoseDAG(), cfg(), regen.Options{})
-	enzyme := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
-	enzyme10 := regen.CountNaive(assays.EnzymeDAG(10), cfg(), regen.Options{})
+	glucose := regen.CountNaive(assays.GlucoseDAG(), cfg())
+	enzyme := regen.CountNaive(assays.EnzymeDAG(4), cfg())
+	enzyme10 := regen.CountNaive(assays.EnzymeDAG(10), cfg())
 	t.Logf("regenerations: glucose=%d enzyme=%d enzyme10=%d",
 		glucose.Regenerations, enzyme.Regenerations, enzyme10.Regenerations)
 
@@ -37,7 +37,7 @@ func TestNaiveCountsShape(t *testing.T) {
 // The diluent and its dilutions dominate the enzyme assay's
 // regenerations, as the paper's analysis implies.
 func TestNaiveEnzymeBlame(t *testing.T) {
-	rep := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
+	rep := regen.CountNaive(assays.EnzymeDAG(4), cfg())
 	dilutionRegens := 0
 	for name, c := range rep.PerFluid {
 		if name == "diluent" || len(name) > 4 && name[3] == '_' { // xxx_dilN
@@ -110,8 +110,8 @@ func TestBackwardSliceInput(t *testing.T) {
 
 // Determinism: the naive count is stable across runs.
 func TestNaiveDeterministic(t *testing.T) {
-	a := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
-	b := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
+	a := regen.CountNaive(assays.EnzymeDAG(4), cfg())
+	b := regen.CountNaive(assays.EnzymeDAG(4), cfg())
 	if a.Regenerations != b.Regenerations {
 		t.Fatalf("nondeterministic counts: %d vs %d", a.Regenerations, b.Regenerations)
 	}
